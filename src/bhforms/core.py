@@ -11,6 +11,7 @@ x_1 * y_2 in a bilinear form.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -86,9 +87,10 @@ def _check_scalar(c, field: str, where: str):
             raise FieldMismatchError(
                 f"complex coefficient {c!r} in a real container ({where})"
             )
-        return
-    if not isinstance(c, (int, float)):
+    elif not isinstance(c, (int, float)):
         raise ParseError(f"unsupported coefficient type {type(c).__name__}", where)
+    if not isinstance(c, int) and not cmath.isfinite(c):
+        raise ParseError(f"non-finite coefficient {c!r}", where)
 
 
 def _scalar_to_json(c) -> dict:
@@ -379,6 +381,10 @@ def _check_keys(doc: Mapping, allowed: set, where: str):
         raise ParseError(f"unknown fields {sorted(unknown)}", where)
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"non-finite number {name} is not allowed", "document")
+
+
 def _read_doc(source) -> dict:
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -386,7 +392,7 @@ def _read_doc(source) -> dict:
     else:
         text = source.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", f"line {exc.lineno}") from exc
     if not isinstance(doc, dict):

@@ -7,6 +7,30 @@ closed form: once the other m-1 slots carry fixed signs, the form is a linear
 functional in the remaining slot and its maximum over the cube is the l_1 norm
 of that functional's coefficients.
 
+The enumeration of the other slots' signs rests on three facts.
+
+- Symmetry.  Negating every sign of one enumerated slot negates the induced
+  functional and leaves its l_1 norm unchanged.  Of two such twins the one
+  with -1 on the slot's first active coordinate is lexicographically smaller,
+  so the lex-smallest maximizer (the reported witness) always has that -1.
+  Only those patterns are enumerated: 2^(m-1) times fewer than the vertex
+  space, which ``work`` still reports because the result certifies all of it.
+- Doubling.  A slot's signed sums sum_c s_c x_c are built in lex order by
+  additions alone: start from -x_0, then for each coordinate c from the last
+  down to 1 the block G becomes [G - x_c, G + x_c].  Slots are contracted one
+  after another in this way; no sign matrix is formed.
+- Bounded chunks.  When a slot's sums would not fit in ``_CHUNK_CELLS``
+  cells, its low coordinates' sums are built once and each prefix of its high
+  coordinates adds its offset vector to them, one chunk at a time.  No
+  intermediate array exceeds ``_CHUNK_CELLS`` cells (unless a single vector
+  of the remaining slots does), so peak memory does not grow with the vertex
+  space, and each chunk's add, abs and sum run inside the cache.
+
+Integer forms are enumerated in int64 when sum |c| < 2^63.  That sum bounds
+every partial sum and every value, so no intermediate can wrap.  Larger
+integer forms run the same kernel on Python ints (``dtype=object``): slower,
+still exact.  Forms with any float coefficient use float64.
+
 Complex norms are nonconvex over the torus; only seeded lower bounds are
 provided (``ascent_lower_bound``, ``poly_lower_bound``).
 """
@@ -30,8 +54,9 @@ from .core import (
 
 DEFAULT_BUDGET = 1 << 24
 BRUTE_BUDGET = 1 << 20
-# cap on the assignments x n_k intermediate before chunked evaluation kicks in
-_CHUNK_CELLS = 1 << 22
+# cap on the cells of any intermediate array of the exact-norm kernel; 512 KB
+# of int64 or float64, so that one chunk's add, abs and sum stay in L2 cache
+_CHUNK_CELLS = 1 << 16
 
 REL_TOL = 1e-9
 
@@ -67,12 +92,69 @@ class NormResult:
         }
 
 
-def _sign_rows(a: int, dtype) -> np.ndarray:
-    """All 2^a sign rows in lexicographic order with -1 < +1, first coord most
-    significant; row 0 is all -1."""
-    r = np.arange(1 << a, dtype=np.int64)
-    bits = (r[:, None] >> np.arange(a - 1, -1, -1)) & 1
-    return (2 * bits - 1).astype(dtype)
+def _signed_sums(X, fixed):
+    """Signed sums sum_c s_c X[c] of X, shape (a, q, B), for every sign
+    pattern s in lex order (-1 < +1, coordinate 0 most significant), as an
+    array (q, B * 2^w) whose column b * 2^w + s holds batch column b under
+    pattern s.  ``fixed`` pins s_0 = -1 (w = a - 1); otherwise w = a.
+
+    Built by doubling: start from -X[0] (or 0), then for each coordinate c
+    from a-1 down, the patterns built so far, G, become [G - X[c], G + X[c]],
+    which puts c's sign above theirs.  Additions only, along contiguous batch
+    rows; one transposing copy puts the batch first."""
+    a, q, B = X.shape
+    start = 1 if fixed else 0
+    out = np.empty((q, 1 << (a - start), B), dtype=X.dtype)
+    if fixed:
+        np.negative(X[0], out=out[:, 0])
+    else:
+        out[:, 0] = 0
+    w = 1
+    for c in range(a - 1, start - 1, -1):
+        x = X[c][:, None]
+        np.add(out[:, :w], x, out=out[:, w : 2 * w])
+        np.subtract(out[:, :w], x, out=out[:, :w])
+        w *= 2
+    return out.transpose(0, 2, 1).reshape(q, -1)
+
+
+def _expand(X, cap):
+    """Enumerate one slot: yield (offset, Y) chunks of the signed sums of X,
+    shape (a, q, B), over the slot's sign patterns with the first sign -1.
+    Output column b * 2^(a-1) + s holds batch column b under pattern s; a
+    chunk Y (q, n) covers columns offset..offset+n-1, in order, and holds at
+    most ``cap`` cells unless q alone needs more."""
+    a, q, B = X.shape
+    S = 1 << (a - 1)
+    if q * S <= cap or a == 1:
+        nb = max(1, cap // (q * S))
+        for b0 in range(0, B, nb):
+            yield b0 * S, _signed_sums(X[:, :, b0 : b0 + nb], True)
+        return
+    # too large for one batch column: the low w coordinates' sums are built
+    # once and each high prefix's offset vector is added to them
+    w = min(a - 1, max(1, (cap // q).bit_length() - 1))
+    for b in range(B):
+        col = X[:, :, b : b + 1]
+        low = _signed_sums(col[a - w :], False)
+        for h0, H in _expand(col[: a - w], cap):
+            for h in range(H.shape[1]):
+                yield b * S + ((h0 + h) << w), H[:, h : h + 1] + low
+
+
+def _slot_values(X, counts, cap, base=0):
+    """Yield (offset, values) over the enumerated slots' sign patterns in lex
+    order (the first sign of each slot -1): ``values`` are sum_i |g_i| of the
+    induced functionals g on the eliminated slot."""
+    S = 1 << (counts[0] - 1)
+    for off, Y in _expand(X, cap):
+        start = base * S + off
+        if len(counts) == 1:
+            yield start, np.abs(Y, out=Y).sum(axis=0)
+        else:
+            yield from _slot_values(
+                Y.reshape(counts[1], -1, Y.shape[1]), counts[1:], cap, start
+            )
 
 
 def _all_ones_witness(T: MultilinearForm) -> tuple:
@@ -83,11 +165,18 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
     """Exact sup norm of a real form by vertex enumeration with one slot
     eliminated in closed form.
 
-    The eliminated slot is the one with the largest active support, so the
-    enumerated assignment count is 2^(sum of the other slots' supports).
-    Only active coordinates are enumerated; inactive ones are fixed to +1.
-    Among maximizers the lexicographically smallest sign assignment
-    (slot-major, -1 < +1) is reported.
+    The eliminated slot is the one with the largest active support (the
+    lowest such index), so the vertex space is 2^(sum of the other slots'
+    supports); ``work`` reports it and ``budget`` caps it.  Only active
+    coordinates are enumerated; inactive ones are fixed to +1.  Among
+    maximizers the lexicographically smallest sign assignment (slot-major,
+    -1 < +1) is reported; by the symmetry in the module docstring it has -1
+    on the first active coordinate of every enumerated slot, so only those
+    2^(m-1)-times fewer patterns are evaluated.  The eliminated slot takes the
+    signs of its induced functional (-1 where that is 0).
+
+    Integer forms give an exact ``int`` (int64 arithmetic when sum |c| <
+    2^63, Python ints otherwise); other real forms a ``float``.
     """
     if T.field != REAL:
         raise FieldMismatchError(
@@ -111,77 +200,50 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
         )
 
     integer = T.is_integer()
-    dtype = np.int64 if integer else np.float64
+    if not integer:
+        dtype = np.float64
+    elif sum(map(abs, T.coeffs.values())) < 1 << 63:
+        dtype = np.int64
+    else:
+        dtype = object
 
     # dense tensor over active coordinates: other slots' axes then slot k
     pos = [
         {i: c for c, i in enumerate(active[j])} for j in range(T.m)
     ]
     nk = len(active[k])
-    shape = tuple(counts) + (nk,)
-    C = np.zeros(shape, dtype=dtype)
-    for t, c in T.coeffs.items():
-        idx = tuple(pos[j][t[j]] for j in others) + (pos[k][t[k]],)
-        C[idx] = c
+    C = np.zeros(tuple(counts) + (nk,), dtype=dtype)
+    C[tuple([pos[j][t[j]] for t in T.coeffs] for j in others + [k])] = list(
+        T.coeffs.values()
+    )
 
-    sign_mats = [_sign_rows(a, dtype) for a in counts]
-
-    def eval_block(first_rows: np.ndarray | None) -> np.ndarray:
-        """Per-assignment values sum_i |g_i|, restricted to the given rows of
-        the first slot's sign matrix (all rows when None)."""
-        X = C.reshape(1, -1)
-        lead = 1
-        rest = list(shape)
-        for i, S in enumerate(sign_mats):
-            if i == 0 and first_rows is not None:
-                S = S[first_rows]
-            a = rest.pop(0)
-            q = 1
-            for r in rest:
-                q *= r
-            X = X.reshape(lead, a, q)
-            X = np.einsum("laq,sa->lsq", X, S)
-            lead *= S.shape[0]
-            X = X.reshape(lead, -1)
-        return np.abs(X).sum(axis=1)
-
-    if not others:
-        values = eval_block(None)
-        best_idx = 0
-        best_val = values[0]
-        work = 1
-    elif assignments * nk <= _CHUNK_CELLS:
-        values = eval_block(None)
-        best_idx = int(np.argmax(values))
-        best_val = values[best_idx]
+    if others:
+        best_idx, best_val = 0, None
+        X = C.reshape(counts[0], -1, 1)
+        for start, vals in _slot_values(X, counts, _CHUNK_CELLS):
+            i = int(np.argmax(vals))
+            if best_val is None or vals[i] > best_val:
+                best_idx, best_val = start + i, vals[i]
         work = assignments
     else:
-        a0 = counts[0]
-        tail = assignments >> a0
-        block = max(1, _CHUNK_CELLS // (tail * nk))
-        best_idx, best_val = 0, None
-        for start in range(0, 1 << a0, block):
-            rows = np.arange(start, min(start + block, 1 << a0))
-            vals = eval_block(rows)
-            local = int(np.argmax(vals))
-            if best_val is None or vals[local] > best_val:
-                best_val = vals[local]
-                best_idx = start * tail + local
-        work = assignments
+        best_idx, best_val = 0, np.abs(C).sum()
+        work = 1
 
-    # decode the winning assignment into per-slot signs
+    # decode the winning pattern: per slot the pinned -1, then a-1 bits with
+    # the slot's second coordinate most significant
     slot_signs = {}
     idx = best_idx
     for j, a in zip(reversed(others), reversed(counts)):
-        r = idx & ((1 << a) - 1)
-        idx >>= a
-        slot_signs[j] = [1 if (r >> (a - 1 - c)) & 1 else -1 for c in range(a)]
+        r = idx & ((1 << (a - 1)) - 1)
+        idx >>= a - 1
+        bits = [(r >> (a - 2 - c)) & 1 for c in range(a - 1)]
+        slot_signs[j] = [-1] + [1 if bit else -1 for bit in bits]
 
     # closed-form signs for the eliminated slot from the induced functional
     g = C
     for j in others:
         sv = np.asarray(slot_signs[j], dtype=dtype)
-        g = np.tensordot(sv, g, axes=([0], [0]))
+        g = sv @ g.reshape(len(sv), -1)
     slot_signs[k] = [1 if gi > 0 else -1 for gi in g]
 
     witness = []

@@ -137,3 +137,27 @@ def test_malformed_document_exit_2(tmp_path):
     code, _, err = invoke(["norm", "--in", str(path)])
     assert code == 2
     assert "1-based" in err
+
+
+def test_norm_of_huge_integer_coefficients_is_exact(tmp_path):
+    from bhforms import MultilinearForm, brute_force_norm_real, save_form
+
+    T = MultilinearForm.build(2, (2, 2), {(1, 1): 2**70, (1, 2): -3, (2, 2): 2**64})
+    path = tmp_path / "huge.json"
+    save_form(T, path)
+    code, out, _ = invoke(["norm", "--in", str(path)])
+    assert code == 0
+    result = json.loads(out)
+    assert result["exact"] is True
+    assert result["value"] == brute_force_norm_real(T)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_coefficient_exit_2(tmp_path, literal):
+    path = tmp_path / "nan.json"
+    path.write_text('{"kind":"form","m":1,"field":"real","dims":[1],'
+                    '"coeffs":[{"idx":[1],"re":%s}]}' % literal)
+    code, out, err = invoke(["norm", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -218,3 +219,22 @@ def test_bh_exponent_range():
         assert 4 / 3 <= p < 2
         assert p > prev
         prev = p
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, complex(1, math.nan)])
+def test_build_rejects_non_finite_coefficients(c):
+    field = "complex" if isinstance(c, complex) else "real"
+    with pytest.raises(ParseError, match="non-finite"):
+        MultilinearForm.build(1, (2,), {(1,): c}, field=field)
+    with pytest.raises(ParseError, match="non-finite"):
+        HomogeneousPolynomial.build(
+            1, 1, {MultiIndex.from_pairs([(1, 1)]): c}, field=field
+        )
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_parse_rejects_non_finite_numbers(literal):
+    text = ('{"kind":"form","m":1,"field":"real","dims":[1],'
+            '"coeffs":[{"idx":[1],"re":%s}]}' % literal)
+    with pytest.raises(ParseError, match="non-finite"):
+        load_form(io.StringIO(text))

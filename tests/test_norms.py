@@ -1,7 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bhforms import (
     BudgetExceededError,
@@ -20,6 +24,7 @@ from bhforms import (
     lp_sum,
     poly_lower_bound,
     r_family,
+    random_sparse,
     s_family,
 )
 from bhforms.verify import make_corpus
@@ -186,12 +191,134 @@ def test_exact_norm_determinism_and_work():
 def test_chunked_enumeration_agrees():
     import bhforms.norms as normsmod
 
-    T = ksz_random(2, 8, seed=123)
-    full = exact_norm_real(T)
+    forms = [
+        ksz_random(2, 8, seed=123),
+        ksz_random(3, 4, seed=124),
+        ksz_random(4, 3, seed=125),
+        random_sparse(2, (7, 9), 0.6, coeff_dist="gaussian", seed=126),
+        random_sparse(3, (4, 3, 5), 0.7, coeff_dist="uniform", seed=127),
+        random_sparse(4, (3, 3, 2, 3), 0.8, coeff_dist="gaussian", seed=128),
+    ]
+    full = [exact_norm_real(T) for T in forms]
     old = normsmod._CHUNK_CELLS
-    normsmod._CHUNK_CELLS = 64
     try:
-        chunked = exact_norm_real(T)
+        for cap in (64, 5):
+            normsmod._CHUNK_CELLS = cap
+            for T, want in zip(forms, full):
+                got = exact_norm_real(T)
+                assert got.witness == want.witness
+                assert (got.work, got.eliminated_slot) == (want.work, want.eliminated_slot)
+                # float sums may associate differently across chunkings
+                if T.is_integer():
+                    assert got.value == want.value
+                else:
+                    assert got.value == pytest.approx(want.value, rel=1e-12)
     finally:
         normsmod._CHUNK_CELLS = old
-    assert chunked == full
+
+
+def test_int64_overflow_falls_back_to_python_ints():
+    # sum |c| = 2^64 here, so int64 partial sums would wrap to -2^63
+    T = littlewood_s2().scale(2**62)
+    r = exact_norm_real(T)
+    assert r.value == 2**63 == brute_force_norm_real(T)
+    assert T.evaluate(r.witness) in (2**63, -(2**63))
+    assert r.witness == exact_norm_real(littlewood_s2()).witness
+
+
+def test_coefficients_beyond_int64_are_exact():
+    T = MultilinearForm.build(
+        3, (2, 2, 1), {(1, 1, 1): 2**70, (2, 1, 1): -5, (2, 2, 1): 3}
+    )
+    r = exact_norm_real(T)
+    assert r.value == 2**70 + 8 == brute_force_norm_real(T)
+    assert abs(T.evaluate(r.witness)) == r.value
+
+
+def test_exact_norm_peak_memory_bounded():
+    import bhforms.norms as normsmod
+
+    T = ksz_random(2, 20, seed=1)
+    tracemalloc.start()
+    try:
+        r = exact_norm_real(T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert r.work == 2**20
+    assert peak < 4 * normsmod._CHUNK_CELLS * 8
+
+
+# --- property tests against naive enumeration ---------------------------------
+
+
+def _naive_lex_max(T):
+    """(value, witness) by the documented rule, by plain enumeration: the slot
+    with the largest active support (lowest index on ties) is eliminated, every
+    sign pattern of the other slots' active coordinates is tried in lex order
+    (slot-major, -1 < +1), and the first maximizer is kept."""
+    if not T.coeffs:
+        return 0, tuple(tuple(1 for _ in range(d)) for d in T.dims)
+    active = T.active_support()
+    k = max(range(T.m), key=lambda j: (len(active[j]), -j))
+    others = [j for j in range(T.m) if j != k]
+    best = None
+    for signs in itertools.product((-1, 1), repeat=sum(len(active[j]) for j in others)):
+        x = [[1] * d for d in T.dims]
+        it = iter(signs)
+        for j in others:
+            for i in active[j]:
+                x[j][i - 1] = next(it)
+        g = [0] * T.dims[k]
+        for t, c in T.coeffs.items():
+            term = c
+            for j in others:
+                term *= x[j][t[j] - 1]
+            g[t[k] - 1] += term
+        value = sum(abs(v) for v in g)
+        if best is None or value > best[0]:
+            for i in active[k]:
+                x[k][i - 1] = 1 if g[i - 1] > 0 else -1
+            best = (value, tuple(tuple(w) for w in x))
+    return best
+
+
+@st.composite
+def small_forms(draw, coeff):
+    """Real forms with m <= 4 and at most 9 coordinates in all, so that
+    brute force stays cheap."""
+    m = draw(st.integers(1, 4))
+    dims = tuple(draw(st.integers(1, min(4, 9 // m))) for _ in range(m))
+    tuples = st.tuples(*(st.integers(1, d) for d in dims))
+    coeffs = draw(st.dictionaries(tuples, coeff, max_size=12))
+    return MultilinearForm.build(m, dims, coeffs)
+
+
+# ints span the int64 and the Python-int paths; dyadic floats add exactly, so
+# the float path can be held to exact equality too
+INTS = st.integers(-5, 5) | st.sampled_from([2**61, -(2**62), 2**63 - 1, 2**70])
+DYADIC = st.integers(-40, 40).map(lambda v: v / 8)
+FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@given(small_forms(INTS) | small_forms(DYADIC), st.sampled_from([None, 64, 2]))
+def test_exact_is_the_lex_smallest_maximizer(T, cap):
+    import bhforms.norms as normsmod
+
+    old = normsmod._CHUNK_CELLS
+    normsmod._CHUNK_CELLS = cap or old
+    try:
+        r = exact_norm_real(T)
+    finally:
+        normsmod._CHUNK_CELLS = old
+    assert (r.value, r.witness) == _naive_lex_max(T)
+    assert r.value == brute_force_norm_real(T)
+    assert abs(T.evaluate(r.witness)) == r.value
+    assert isinstance(r.value, int) == T.is_integer()
+
+
+@given(small_forms(FLOATS))
+def test_exact_matches_brute_on_float_forms(T):
+    r = exact_norm_real(T)
+    assert r.value == pytest.approx(brute_force_norm_real(T), rel=1e-9)
+    assert abs(T.evaluate(r.witness)) == pytest.approx(r.value, rel=1e-9)
