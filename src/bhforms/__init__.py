@@ -36,6 +36,7 @@ from .generators import (
     s_family,
 )
 from .norms import (
+    FlipScorer,
     NormResult,
     ascent_lower_bound,
     brute_force_norm_real,
@@ -58,6 +59,7 @@ from .sums import (
     poly_restricted_sum,
     ratio_report,
     restricted_sum,
+    restriction_sum,
     theorem_upper_bound,
 )
 from .verify import VerifyOutcome, run_suite

@@ -18,12 +18,6 @@ def _print_json(obj):
     print(json.dumps(obj, indent=2, sort_keys=False))
 
 
-def _parse_p(value: str, m: int) -> float:
-    if value == "bh":
-        return core.bh_exponent(m)
-    return float(value)
-
-
 def _int_list(value: str) -> list[int]:
     return [int(v) for v in value.split(",")]
 
@@ -112,31 +106,8 @@ def _norm(args) -> int:
 def _sum(args) -> int:
     obj = core.load_any(args.infile)
     restriction = _restriction(args)
-    m = obj.m
-    if restriction.kind == "block":
-        p = (
-            core.bh_exponent(len(restriction.partition))
-            if args.p == "bh"
-            else float(args.p)
-        )
-    else:
-        p = _parse_p(args.p, m)
-    if isinstance(obj, core.MultilinearForm):
-        if restriction.kind == "full":
-            value = sums.lp_sum(obj.coeffs.values(), p)
-        elif restriction.kind == "card":
-            value = sums.restricted_sum(obj, restriction.M, p)
-        elif restriction.kind == "block":
-            value = sums.block_sum(obj, restriction.partition, p)
-        else:
-            raise UsageError("--omega applies to polynomial documents only")
-    else:
-        if restriction.kind == "full":
-            value = sums.lp_sum(obj.coeffs.values(), p)
-        elif restriction.kind == "omega":
-            value = sums.poly_restricted_sum(obj, restriction.M, p)
-        else:
-            raise UsageError(f"--{restriction.kind} applies to form documents only")
+    p = restriction.default_exponent(obj.m) if args.p == "bh" else float(args.p)
+    value = sums.restriction_sum(obj, restriction, p)
     _print_json({"p": p, "sum": value, "restriction": restriction.to_json()})
     return 0
 

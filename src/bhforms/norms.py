@@ -142,23 +142,76 @@ def _expand(X, cap):
                 yield b * S + ((h0 + h) << w), H[:, h : h + 1] + low
 
 
-def _slot_values(X, counts, cap, base=0):
-    """Yield (offset, values) over the enumerated slots' sign patterns in lex
-    order (the first sign of each slot -1): ``values`` are sum_i |g_i| of the
-    induced functionals g on the eliminated slot."""
+def _induced(X, counts, cap, base=0):
+    """Yield (offset, Y) over the enumerated slots' sign patterns in lex order
+    (the first sign of each slot -1): column s of Y, shape (n_k, w), is the
+    induced functional g on the eliminated slot under pattern offset + s.
+    Each Y is a fresh array that the caller may overwrite."""
     S = 1 << (counts[0] - 1)
     for off, Y in _expand(X, cap):
         start = base * S + off
         if len(counts) == 1:
-            yield start, np.abs(Y, out=Y).sum(axis=0)
+            yield start, Y
         else:
-            yield from _slot_values(
+            yield from _induced(
                 Y.reshape(counts[1], -1, Y.shape[1]), counts[1:], cap, start
             )
 
 
 def _all_ones_witness(T: MultilinearForm) -> tuple:
     return tuple(tuple(1 for _ in range(d)) for d in T.dims)
+
+
+def _layout(T: MultilinearForm, budget: int):
+    """The enumeration layout of a real form, or None for the zero form:
+    (active supports, eliminated slot k, enumerated slots, their active
+    counts, vertex space, dtype, per-coefficient index, dense tensor C).
+
+    k is the slot with the largest active support (the lowest such index).
+    The dtype is int64 for integer forms with sum |c| < 2^63 (that sum bounds
+    every partial sum, so nothing can wrap), Python ints (``object``) for
+    larger integer forms and float64 otherwise.  C holds the coefficients over
+    active coordinates, the enumerated slots' axes first, then slot k; the
+    index lists, one per axis, place each coefficient of ``T.coeffs`` in it.
+    """
+    if T.field != REAL:
+        raise FieldMismatchError(
+            "exact norms are only computed for real forms; use ascent_lower_bound"
+        )
+    if not T.coeffs:
+        return None
+
+    active = T.active_support()
+    k = max(range(T.m), key=lambda j: (len(active[j]), -j))
+    others = [j for j in range(T.m) if j != k]
+    counts = [len(active[j]) for j in others]
+    assignments = 1
+    for a in counts:
+        assignments <<= a
+    if assignments > budget:
+        raise BudgetExceededError(
+            f"{assignments} sign assignments exceed budget {budget}; "
+            f"rerun with budget >= {assignments}",
+            required=assignments,
+        )
+
+    if not T.is_integer():
+        dtype = np.float64
+    elif sum(map(abs, T.coeffs.values())) < 1 << 63:
+        dtype = np.int64
+    else:
+        dtype = object
+
+    pos = [{i: c for c, i in enumerate(active[j])} for j in range(T.m)]
+    index = tuple([pos[j][t[j]] for t in T.coeffs] for j in others + [k])
+    C = np.zeros(tuple(counts) + (len(active[k]),), dtype=dtype)
+    try:
+        C[index] = list(T.coeffs.values())
+    except OverflowError:
+        raise ValueError(
+            "a coefficient of this float form is beyond the float range"
+        ) from None
+    return active, k, others, counts, assignments, dtype, index, C
 
 
 def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormResult:
@@ -176,51 +229,19 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
     signs of its induced functional (-1 where that is 0).
 
     Integer forms give an exact ``int`` (int64 arithmetic when sum |c| <
-    2^63, Python ints otherwise); other real forms a ``float``.
+    2^63, Python ints otherwise); other real forms a ``float``.  A float form
+    holding an int beyond the float range raises ``ValueError``.
     """
-    if T.field != REAL:
-        raise FieldMismatchError(
-            "exact norms are only computed for real forms; use ascent_lower_bound"
-        )
-    if not T.coeffs:
+    layout = _layout(T, budget)
+    if layout is None:
         return NormResult(0, _all_ones_witness(T), True, None, 0)
-
-    active = T.active_support()
-    k = max(range(T.m), key=lambda j: (len(active[j]), -j))
-    others = [j for j in range(T.m) if j != k]
-    counts = [len(active[j]) for j in others]
-    assignments = 1
-    for a in counts:
-        assignments <<= a
-    if assignments > budget:
-        raise BudgetExceededError(
-            f"{assignments} sign assignments exceed budget {budget}; "
-            f"rerun with budget >= {assignments}",
-            required=assignments,
-        )
-
-    integer = T.is_integer()
-    if not integer:
-        dtype = np.float64
-    elif sum(map(abs, T.coeffs.values())) < 1 << 63:
-        dtype = np.int64
-    else:
-        dtype = object
-
-    # dense tensor over active coordinates: other slots' axes then slot k
-    pos = [
-        {i: c for c, i in enumerate(active[j])} for j in range(T.m)
-    ]
-    nk = len(active[k])
-    C = np.zeros(tuple(counts) + (nk,), dtype=dtype)
-    C[tuple([pos[j][t[j]] for t in T.coeffs] for j in others + [k])] = list(
-        T.coeffs.values()
-    )
+    active, k, others, counts, assignments, dtype, _, C = layout
 
     if others:
         best_idx, best_val = 0, None
         X = C.reshape(counts[0], -1, 1)
-        for start, vals in _slot_values(X, counts, _CHUNK_CELLS):
+        for start, Y in _induced(X, counts, _CHUNK_CELLS):
+            vals = np.abs(Y, out=Y).sum(axis=0)
             i = int(np.argmax(vals))
             if best_val is None or vals[i] > best_val:
                 best_idx, best_val = start + i, vals[i]
@@ -253,8 +274,110 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
             w[i - 1] = slot_signs[j][c]
         witness.append(tuple(w))
 
-    value = int(best_val) if integer else float(best_val)
+    value = float(best_val) if dtype is np.float64 else int(best_val)
     return NormResult(value, tuple(witness), True, k, work)
+
+
+class FlipScorer:
+    """Exact norms of the single-coefficient sign flips of one nonzero real
+    form, kept current as flips are applied.
+
+    A flip keeps the support, so it keeps the layout of ``exact_norm_real``:
+    the eliminated slot k, the enumerated patterns (the first sign of each
+    slot -1) and the numeric path.  The scorer holds the induced functionals
+    G, with row i the coordinate i of slot k and column p the pattern p, and
+    their l_1 norms ``val[p]``.  Flipping coefficient t changes one row,
+    G[t_k] -= 2 c_t mono_t with mono_t[p] = prod_{j != k} s_j[t_j] under
+    pattern p, so the flipped form's norm is
+
+        max_p  val[p] - |G[t_k, p]| + |G[t_k, p] - 2 c_t mono_t[p]|.
+
+    Candidates are numbered in ``T.coeffs`` order.  For integer forms every
+    score is the value ``exact_norm_real`` gives the flipped form (in int64,
+    G - c_t mono_t is a partial sum, so nothing can wrap); for float forms it
+    agrees up to rounding.  G holds n_k * work / 2^(m-1) cells; every
+    temporary of a sweep or a flip holds at most ``_CHUNK_CELLS`` cells (and
+    at least one).
+    """
+
+    def __init__(self, T: MultilinearForm, budget: int = DEFAULT_BUDGET):
+        layout = _layout(T, budget)
+        if layout is None:
+            raise ValueError("the zero form has no sign flips")
+        _, _, others, counts, assignments, dtype, index, C = layout
+        self._patterns = P = assignments >> len(others)
+        self._cols = np.asarray(index[-1], dtype=np.intp)
+
+        # mono_t[p] = (-1)^(m-1) (-1)^popcount(p & mask_t): coordinate c >= 1
+        # of a slot is +1 exactly when its bit in p is set, coordinate 0 is -1
+        self._masks = np.zeros(len(self._cols), dtype=np.int64)
+        shift = 0
+        for q in reversed(range(len(others))):
+            c = np.asarray(index[q], dtype=np.int64)
+            self._masks |= (c > 0).astype(np.int64) << (shift + counts[q] - 1 - c)
+            shift += counts[q] - 1
+        c = C[index]
+        if len(others) % 2:
+            c = -c
+        # c_t mono_t[p] is _cm[popcount parity, t]
+        self._cm = np.stack([c, -c])
+
+        self._G = np.empty((C.shape[-1], P), dtype=dtype)
+        self._val = np.empty(P, dtype=dtype)
+        if others:
+            for start, Y in _induced(C.reshape(counts[0], -1, 1), counts, _CHUNK_CELLS):
+                stop = start + Y.shape[1]
+                self._G[:, start:stop] = Y
+                self._val[start:stop] = np.abs(Y, out=Y).sum(axis=0)
+        else:
+            self._G[:, 0] = C
+            self._val[0] = np.abs(C).sum()
+
+    def value(self):
+        """The norm of the current form, as ``exact_norm_real`` types it."""
+        v = self._val.max()
+        return float(v) if self._val.dtype == np.float64 else int(v)
+
+    def _rows(self, idx, p0, p1):
+        """(G[t_k], G[t_k] - 2 c_t mono_t) on patterns p0..p1-1, one row per
+        candidate t in ``idx``."""
+        odd = np.bitwise_count(self._masks[idx, None] & np.arange(p0, p1)) & 1
+        cm = self._cm[odd, idx[:, None]]
+        g = self._G[self._cols[idx], p0:p1]
+        d = g - cm
+        d -= cm
+        return g, d
+
+    def scores(self, n: int) -> np.ndarray:
+        """Norms of the n forms that each flip one of the first n
+        coefficients."""
+        out = np.empty(n, dtype=self._val.dtype)
+        nb = max(1, min(n, _CHUNK_CELLS))
+        w = max(1, _CHUNK_CELLS // nb)
+        for i0 in range(0, n, nb):
+            idx = np.arange(i0, min(n, i0 + nb))
+            best = None
+            for p0 in range(0, self._patterns, w):
+                p1 = min(self._patterns, p0 + w)
+                g, d = self._rows(idx, p0, p1)
+                v = np.abs(d, out=d)
+                v -= np.abs(g, out=g)
+                v += self._val[p0:p1]
+                top = v.max(axis=1)
+                best = top if best is None else np.maximum(best, top)
+            out[i0 : i0 + len(idx)] = best
+        return out
+
+    def flip(self, r: int):
+        """Flips the sign of coefficient r."""
+        col = self._cols[r]
+        idx = np.array([r])
+        for p0 in range(0, self._patterns, _CHUNK_CELLS):
+            p1 = min(self._patterns, p0 + _CHUNK_CELLS)
+            g, d = self._rows(idx, p0, p1)
+            self._G[col, p0:p1] = d[0]
+            self._val[p0:p1] += np.abs(d[0]) - np.abs(g[0])
+        self._cm[:, r] *= -1
 
 
 def brute_force_norm_real(T: MultilinearForm, budget: int = BRUTE_BUDGET):

@@ -1,9 +1,17 @@
 """Seeded empirical lower-bound search and the random-form norm scaling
 experiment.
 
-Every reported ratio uses an exact norm, so it is a mathematically valid
-lower bound for the matching optimal constant; results are deterministic for
-a fixed seed (restart seeds come from SeedSequence.spawn).
+The search climbs by single coefficient sign flips.  A flip changes no |c|,
+so the restricted sum is computed once per restart, and it keeps the
+support, so ``norms.FlipScorer`` scores every flip of a sweep incrementally
+from the induced functionals of the current form.  Contract: on integer
+forms each score is exactly the ``exact_norm_real`` value of the flipped
+form, so the climb takes the same moves as one that rebuilds and re-norms
+every candidate; on float forms scores agree to rounding, and near-ties may
+resolve differently.  Every reported ratio uses ``exact_norm_real`` of the
+returned form, so it is a mathematically valid lower bound for the matching
+optimal constant; results are deterministic for a fixed seed (restart seeds
+come from SeedSequence.spawn).
 """
 
 from __future__ import annotations
@@ -17,16 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MultilinearForm
+from .core import REAL, MultilinearForm
 from .generators import a_family, ksz_random, r_family, s_family
-from .norms import DEFAULT_BUDGET, exact_norm_real
+from .norms import DEFAULT_BUDGET, FlipScorer, exact_norm_real
 from .sums import (
     FULL,
     RatioReport,
     Restriction,
-    bh_exponent,
-    lp_sum,
-    restricted_sum,
+    restriction_sum,
     theorem_upper_bound,
 )
 
@@ -49,6 +55,8 @@ class SearchConfig:
             )
         if len(self.dims) != self.m:
             raise ValueError(f"expected {self.m} dims, got {len(self.dims)}")
+        if self.restriction.kind == "omega":
+            raise ValueError("omega restriction applies to polynomials only")
 
     def to_json(self) -> dict:
         return {
@@ -97,22 +105,22 @@ def form_hash(T: MultilinearForm) -> str:
     return hashlib.sha256(dumps(T).encode()).hexdigest()[:16]
 
 
-def _ratio(T: MultilinearForm, p: float, restriction: Restriction, norm_budget: int):
-    if restriction.kind == "card":
-        s = restricted_sum(T, restriction.M, p)
-    else:
-        s = lp_sum(T.coeffs.values(), p)
-    norm = exact_norm_real(T, budget=norm_budget)
-    return s / norm.value, norm, s
-
-
 def maximize_ratio(
     cfg: SearchConfig, initial: MultilinearForm | None = None
 ) -> tuple[MultilinearForm, RatioReport]:
     """Hill climbing over dense +-1 coefficient tensors: steepest single
     coefficient sign flip on the sum/norm ratio, random restarts, ties keep
-    the incumbent.  The budget counts ratio evaluations."""
-    p = cfg.p if cfg.p is not None else bh_exponent(cfg.m)
+    the incumbent.  The budget counts ratio evaluations: each restart's start
+    and each scored flip.  A sweep scores the flips in coefficient order; the
+    move is the first flip with the strictly largest ratio, taken only when
+    it beats the incumbent.  The report's norm, witness, ``work`` and ratio
+    come from ``exact_norm_real`` of the returned form."""
+    if initial is not None and (initial.m, initial.dims) != (cfg.m, cfg.dims):
+        raise ValueError(
+            f"initial form has m={initial.m}, dims={initial.dims}; "
+            f"the search has m={cfg.m}, dims={cfg.dims}"
+        )
+    p = cfg.p if cfg.p is not None else cfg.restriction.default_exponent(cfg.m)
     positions = list(itertools.product(*(range(1, d + 1) for d in cfg.dims)))
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     evals = 0
@@ -128,28 +136,32 @@ def maximize_ratio(
         else:
             rng = np.random.default_rng(child)
             signs = rng.integers(0, 2, size=len(positions)) * 2 - 1
-            form = MultilinearForm.build(
-                cfg.m, cfg.dims, {t: int(s) for t, s in zip(positions, signs)}
+            # +-1 integers on valid tuples: nothing for ``build`` to check
+            form = MultilinearForm(
+                m=cfg.m, dims=cfg.dims, field=REAL,
+                coeffs=dict(zip(positions, signs.tolist())),
             )
-        ratio, norm, s = _ratio(form, p, cfg.restriction, cfg.norm_budget)
+        s = restriction_sum(form, cfg.restriction, p)
+        scorer = FlipScorer(form, budget=cfg.norm_budget)
+        ratio = s / scorer.value()
         evals += 1
+        coeffs = dict(form.coeffs)
+        keys = list(coeffs)
         while evals < cfg.budget:
-            move = None
-            move_ratio = ratio
-            for t in form.coeffs:
-                if evals >= cfg.budget:
-                    break
-                flipped = dict(form.coeffs)
-                flipped[t] = -flipped[t]
-                cand = MultilinearForm.build(cfg.m, cfg.dims, flipped)
-                cr, cn, cs = _ratio(cand, p, cfg.restriction, cfg.norm_budget)
-                evals += 1
-                if cr > move_ratio:
-                    move, move_ratio = (cand, cn, cs), cr
-            if move is None:
+            n = min(len(keys), cfg.budget - evals)
+            ratios = s / scorer.scores(n).astype(float)
+            evals += n
+            i = int(np.argmax(ratios))
+            if not ratios[i] > ratio:
                 break
-            form, norm, s = move
-            ratio = move_ratio
+            scorer.flip(i)
+            coeffs[keys[i]] = -coeffs[keys[i]]
+            ratio = ratios[i]
+        form = MultilinearForm(
+            m=form.m, dims=form.dims, field=form.field, coeffs=coeffs
+        )
+        norm = exact_norm_real(form, budget=cfg.norm_budget)
+        ratio = s / norm.value
         if ratio > best_ratio:
             best_form, best_ratio, best_norm, best_sum = form, ratio, norm, s
 

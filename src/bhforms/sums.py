@@ -25,6 +25,7 @@ __all__ = [
     "restricted_sum",
     "block_sum",
     "poly_restricted_sum",
+    "restriction_sum",
     "interpolation_bound",
     "theorem_upper_bound",
     "ratio_report",
@@ -47,6 +48,11 @@ class Restriction:
             raise ValueError(f"restriction {self.kind!r} needs M >= 1")
         if self.kind == "block" and not self.partition:
             raise ValueError("block restriction needs a partition")
+
+    def default_exponent(self, m: int) -> float:
+        """The Bohnenblust-Hille exponent of the sum for degree m: 2M/(M+1)
+        over the M blocks of a block restriction, 2m/(m+1) otherwise."""
+        return bh_exponent(len(self.partition) if self.kind == "block" else m)
 
     def to_json(self) -> dict:
         out = {"kind": self.kind}
@@ -121,6 +127,24 @@ def poly_restricted_sum(P: HomogeneousPolynomial, M: int, p: float) -> float:
     return lp_sum((c for a, c in P.coeffs.items() if a.omega <= M), p)
 
 
+def restriction_sum(obj, restriction: Restriction, p: float) -> float:
+    """l_p sum of the coefficients of a form or a homogeneous polynomial that
+    ``restriction`` selects; card and block apply to forms, omega to
+    polynomials."""
+    kind = restriction.kind
+    if kind == "full":
+        return lp_sum(obj.coeffs.values(), p)
+    if isinstance(obj, MultilinearForm):
+        if kind == "card":
+            return restricted_sum(obj, restriction.M, p)
+        if kind == "block":
+            return block_sum(obj, restriction.partition, p)
+        raise ValueError("omega restriction applies to polynomials only")
+    if kind == "omega":
+        return poly_restricted_sum(obj, restriction.M, p)
+    raise ValueError(f"restriction {kind!r} applies to forms only")
+
+
 def interpolation_bound(
     coeffs, p1: float, p2: float, theta: float
 ) -> tuple[float, bool]:
@@ -181,22 +205,10 @@ def ratio_report(
 ) -> RatioReport:
     """Assemble the l_p sum, the norm, and their ratio for a form or a
     homogeneous polynomial."""
-    is_form = isinstance(obj, MultilinearForm)
     if p is None:
-        p = (
-            bh_exponent(len(restriction.partition))
-            if restriction.kind == "block"
-            else bh_exponent(obj.m)
-        )
-    if is_form:
-        if restriction.kind == "full":
-            s = lp_sum(obj.coeffs.values(), p)
-        elif restriction.kind == "card":
-            s = restricted_sum(obj, restriction.M, p)
-        elif restriction.kind == "block":
-            s = block_sum(obj, restriction.partition, p)
-        else:
-            raise ValueError("omega restriction applies to polynomials only")
+        p = restriction.default_exponent(obj.m)
+    s = restriction_sum(obj, restriction, p)
+    if isinstance(obj, MultilinearForm):
         if norm_method == "exact":
             kwargs = {"budget": budget} if budget else {}
             norm = exact_norm_real(obj, **kwargs)
@@ -205,14 +217,6 @@ def ratio_report(
         else:
             raise ValueError(f"unknown norm method {norm_method!r}")
     else:
-        if restriction.kind == "full":
-            s = lp_sum(obj.coeffs.values(), p)
-        elif restriction.kind == "omega":
-            s = poly_restricted_sum(obj, restriction.M, p)
-        else:
-            raise ValueError(
-                f"restriction {restriction.kind!r} applies to forms only"
-            )
         norm = poly_lower_bound(obj, seed=seed, restarts=restarts)
     if norm.value == 0:
         raise ValueError("zero norm: ratio undefined")

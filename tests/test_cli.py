@@ -62,6 +62,10 @@ def test_sum_with_block(tmp_path):
     payload = json.loads(out)
     assert payload["restriction"] == {"kind": "block", "partition": [2, 1]}
     assert payload["sum"] == pytest.approx(4 ** (2 / 3), rel=1e-9)
+    # card and block select coefficients of forms, omega of polynomials
+    code, out, err = invoke(["sum", "--in", path, "--omega", "2"])
+    assert (code, out) == (2, "")
+    assert "polynomials only" in err
 
 
 def test_construct_symmetrize_and_lift(tmp_path):
@@ -161,3 +165,13 @@ def test_non_finite_coefficient_exit_2(tmp_path, literal):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def test_norm_of_float_form_beyond_float_range_exit_2(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text('{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
+                    '{"idx":[1,1],"re":1%s},{"idx":[2,2],"re":0.5}]}' % ("0" * 400))
+    code, out, err = invoke(["norm", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert "float range" in err

@@ -1,3 +1,4 @@
+import io
 import itertools
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from bhforms import (
     BudgetExceededError,
     FieldMismatchError,
+    FlipScorer,
     HomogeneousPolynomial,
     MultiIndex,
     MultilinearForm,
@@ -18,9 +20,11 @@ from bhforms import (
     brute_force_norm_real,
     diagonal_polynomial,
     disjointify,
+    dumps,
     exact_norm_real,
     ksz_random,
     littlewood_s2,
+    load_form,
     lp_sum,
     poly_lower_bound,
     r_family,
@@ -322,3 +326,77 @@ def test_exact_matches_brute_on_float_forms(T):
     r = exact_norm_real(T)
     assert r.value == pytest.approx(brute_force_norm_real(T), rel=1e-9)
     assert abs(T.evaluate(r.witness)) == pytest.approx(r.value, rel=1e-9)
+
+
+@given(small_forms(INTS) | small_forms(DYADIC), st.integers(-6, 6))
+def test_exact_norm_scales_by_abs_c(T, c):
+    r = exact_norm_real(T)
+    scaled = exact_norm_real(T.scale(c))
+    assert scaled.value == abs(c) * r.value
+    if c > 0:
+        assert scaled.witness == r.witness
+
+
+@given(small_forms(INTS) | small_forms(FLOATS))
+def test_json_round_trip_is_byte_stable(T):
+    text = dumps(T)
+    assert dumps(load_form(io.StringIO(text))) == text
+
+
+def test_float_form_beyond_float_range_is_a_value_error():
+    T = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): 0.5})
+    with pytest.raises(ValueError, match="float range"):
+        exact_norm_real(T)
+
+
+# --- incremental flip scoring -------------------------------------------------
+
+
+def _flipped(T, t):
+    coeffs = dict(T.coeffs)
+    coeffs[t] = -coeffs[t]
+    return MultilinearForm.build(T.m, T.dims, coeffs)
+
+
+def _assert_scores(scorer, T):
+    scores = scorer.scores(len(T.coeffs))
+    for score, t in zip(scores, T.coeffs):
+        want = exact_norm_real(_flipped(T, t)).value
+        if T.is_integer():
+            assert score == want
+        else:
+            assert score == pytest.approx(want, rel=1e-12)
+
+
+NONZERO = (small_forms(INTS) | small_forms(FLOATS)).filter(lambda T: T.coeffs)
+
+
+@given(NONZERO, st.sampled_from([None, 64, 2, 1]), st.integers(0, 11))
+def test_flip_scores_are_exact_norms_of_the_flipped_forms(T, cap, r):
+    """Scores before and after one applied flip, with chunk caps that split
+    the candidates and the patterns into several chunks."""
+    import bhforms.norms as normsmod
+
+    old = normsmod._CHUNK_CELLS
+    normsmod._CHUNK_CELLS = cap or old
+    try:
+        scorer = FlipScorer(T)
+        assert scorer.value() == exact_norm_real(T).value
+        _assert_scores(scorer, T)
+        r %= len(T.coeffs)
+        scorer.flip(r)
+        T = _flipped(T, list(T.coeffs)[r])
+        _assert_scores(scorer, T)
+        if T.is_integer():
+            assert scorer.value() == exact_norm_real(T).value
+        else:
+            assert scorer.value() == pytest.approx(exact_norm_real(T).value, rel=1e-12)
+    finally:
+        normsmod._CHUNK_CELLS = old
+
+
+def test_flip_scorer_refuses_the_zero_form_and_complex_forms():
+    with pytest.raises(ValueError):
+        FlipScorer(MultilinearForm.build(2, (2, 2), {}))
+    with pytest.raises(FieldMismatchError):
+        FlipScorer(MultilinearForm.build(1, (1,), {(1,): 1j}, field="complex"))

@@ -1,17 +1,33 @@
+import itertools
+import json
 import math
+import sys
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bhforms import (
+    MultilinearForm,
     Restriction,
     SearchConfig,
+    block_sum,
     constant_table,
+    exact_norm_real,
     ksz_scaling_experiment,
     maximize_ratio,
+    r_family,
+    random_sparse,
+    ratio_report,
+    restriction_sum,
     s_family,
     theorem_upper_bound,
 )
 from bhforms.search import form_hash
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_search_recovers_littlewood_witness():
@@ -97,3 +113,144 @@ def test_ksz_scaling_min_below_median():
     table = ksz_scaling_experiment(2, (4, 8), samples=10, seed=2)
     for row in table.rows:
         assert row[4] <= row[3] + 1e-12
+
+
+# --- the climb against a naive reference ----------------------------------------
+
+
+def _naive_climb(cfg, initial=None):
+    """The climb written out plainly: every candidate flip is rebuilt as a
+    validated form and normed by exact_norm_real."""
+    p = cfg.p if cfg.p is not None else cfg.restriction.default_exponent(cfg.m)
+
+    def ratio(T):
+        s = restriction_sum(T, cfg.restriction, p)
+        norm = exact_norm_real(T, budget=cfg.norm_budget)
+        return s / norm.value, norm, s
+
+    positions = list(itertools.product(*(range(1, d + 1) for d in cfg.dims)))
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    evals = 0
+    best = (-1.0, None, None, None)
+    for r, child in enumerate(children):
+        if evals >= cfg.budget:
+            break
+        if r == 0 and initial is not None:
+            form = initial
+        else:
+            rng = np.random.default_rng(child)
+            signs = rng.integers(0, 2, size=len(positions)) * 2 - 1
+            form = MultilinearForm.build(
+                cfg.m, cfg.dims, {t: int(s) for t, s in zip(positions, signs)}
+            )
+        cur, norm, s = ratio(form)
+        evals += 1
+        while evals < cfg.budget:
+            move = None
+            move_ratio = cur
+            for t in form.coeffs:
+                if evals >= cfg.budget:
+                    break
+                flipped = dict(form.coeffs)
+                flipped[t] = -flipped[t]
+                cand = MultilinearForm.build(cfg.m, cfg.dims, flipped)
+                cr, cn, cs = ratio(cand)
+                evals += 1
+                if cr > move_ratio:
+                    move, move_ratio = (cand, cn, cs), cr
+            if move is None:
+                break
+            form, norm, s = move
+            cur = move_ratio
+        if cur > best[0]:
+            best = (cur, form, norm, s)
+    return best
+
+
+FAMILY_START = {(2, 2): r_family(2), (4, 2, 2): s_family(3), (3, 3, 3): None,
+                (2, 2, 2, 2): r_family(4)}
+
+
+@pytest.mark.parametrize("dims", list(FAMILY_START))
+@pytest.mark.parametrize("M", [None, 1, 2])
+@pytest.mark.parametrize("budget", [1, 2, 7, 45, 300])
+def test_climb_matches_naive_reference(dims, M, budget):
+    restriction = Restriction("card", M=M) if M else Restriction("full")
+    starts = [None]
+    if FAMILY_START[dims] is not None:
+        starts.append(FAMILY_START[dims])
+    for initial in starts:
+        for seed in (0, 4):
+            cfg = SearchConfig(m=len(dims), dims=dims, restriction=restriction,
+                               budget=budget, restarts=min(budget, 3),
+                               seed=seed)
+            ratio, form, norm, s = _naive_climb(cfg, initial)
+            got, report = maximize_ratio(cfg, initial)
+            assert form_hash(got) == form_hash(form)
+            assert list(got.coeffs) == list(form.coeffs)
+            assert (report.ratio, report.norm, report.sum) == (ratio, norm, s)
+
+
+def test_float_start_reports_the_returned_form_exactly():
+    initial = random_sparse(3, (3, 3, 3), 1.0, coeff_dist="gaussian", seed=8)
+    cfg = SearchConfig(m=3, dims=(3, 3, 3), restriction=Restriction("card", M=2),
+                       budget=400, restarts=2, seed=1)
+    best, report = maximize_ratio(cfg, initial)
+    assert report.norm == exact_norm_real(best)
+    assert report.sum == restriction_sum(best, cfg.restriction, report.p)
+    assert report.ratio == report.sum / report.norm.value
+    assert report.ratio >= ratio_report(initial, restriction=cfg.restriction).ratio
+
+
+def test_search_memory_stays_bounded():
+    cfg = SearchConfig(m=4, dims=(6, 6, 6, 6), budget=200, restarts=1, seed=0)
+    tracemalloc.start()
+    try:
+        maximize_ratio(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_initial_must_match_the_config():
+    cfg = SearchConfig(m=2, dims=(2, 2), budget=10, restarts=1)
+    with pytest.raises(ValueError, match="dims"):
+        maximize_ratio(cfg, initial=s_family(3))
+    with pytest.raises(ValueError, match="dims"):
+        maximize_ratio(cfg, initial=MultilinearForm.build(2, (2, 3), {(1, 1): 1}))
+
+
+def test_block_search_reports_the_block_sum():
+    restriction = Restriction("block", partition=(2,))
+    cfg = SearchConfig(m=2, dims=(2, 2), restriction=restriction, budget=50,
+                       restarts=2, seed=0)
+    best, report = maximize_ratio(cfg)
+    assert report.p == 1.0  # the default exponent of one block
+    assert report.sum == block_sum(best, (2,))
+    assert report.ratio == ratio_report(best, restriction=restriction).ratio
+
+
+def test_omega_search_rejected():
+    with pytest.raises(ValueError, match="omega"):
+        SearchConfig(m=2, dims=(2, 2), restriction=Restriction("omega", M=1))
+
+
+def test_search_reference_table_replays():
+    """Every entry of the benchmark's search reference table, recomputed."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from workloads import SearchClimb
+    finally:
+        sys.path.remove(str(BENCH))
+    table = json.loads((BENCH / "search_reference.json").read_text())
+    seen = 0
+    for size in ("tiny", "full"):
+        for name, cfg, initial in SearchClimb.configs(size):
+            for seed in range(SearchClimb.POOL):
+                ref = table[SearchClimb.reference_key(size, name, seed)]
+                form, report = maximize_ratio(replace(cfg, seed=seed), initial)
+                assert form_hash(form) == ref["form_hash"]
+                assert report.ratio == ref["ratio"]
+                seen += 1
+    assert seen == len(table)
