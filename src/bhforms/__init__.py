@@ -36,7 +36,6 @@ from .generators import (
     s_family,
 )
 from .norms import (
-    FlipScorer,
     NormResult,
     ascent_lower_bound,
     brute_force_norm_real,

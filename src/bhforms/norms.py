@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,12 @@ BRUTE_BUDGET = 1 << 20
 _CHUNK_CELLS = 1 << 16
 
 REL_TOL = 1e-9
+
+
+# popcount parity of every 16-bit integer, built by doubling
+_PARITY16 = np.zeros(1, dtype=np.uint8)
+while len(_PARITY16) < 1 << 16:
+    _PARITY16 = np.concatenate([_PARITY16, _PARITY16 ^ 1])
 
 
 @dataclass(frozen=True)
@@ -162,17 +169,32 @@ def _all_ones_witness(T: MultilinearForm) -> tuple:
     return tuple(tuple(1 for _ in range(d)) for d in T.dims)
 
 
-def _layout(T: MultilinearForm, budget: int):
-    """The enumeration layout of a real form, or None for the zero form:
-    (active supports, eliminated slot k, enumerated slots, their active
-    counts, vertex space, dtype, per-coefficient index, dense tensor C).
+class _Layout(NamedTuple):
+    """The enumeration layout of a nonzero real form.
+
+    ``k`` is the eliminated slot, ``others`` the enumerated slots and
+    ``counts`` their active counts; ``assignments`` is the vertex space.
+    ``C`` holds the coefficients over active coordinates, the enumerated
+    slots' axes first, then slot k; ``index`` has one list per axis, placing
+    each coefficient of ``T.coeffs`` in C."""
+
+    active: list
+    k: int
+    others: list
+    counts: list
+    assignments: int
+    dtype: object
+    index: tuple
+    C: np.ndarray
+
+
+def _layout(T: MultilinearForm, budget: int) -> _Layout | None:
+    """The enumeration layout of a real form, or None for the zero form.
 
     k is the slot with the largest active support (the lowest such index).
     The dtype is int64 for integer forms with sum |c| < 2^63 (that sum bounds
     every partial sum, so nothing can wrap), Python ints (``object``) for
-    larger integer forms and float64 otherwise.  C holds the coefficients over
-    active coordinates, the enumerated slots' axes first, then slot k; the
-    index lists, one per axis, place each coefficient of ``T.coeffs`` in it.
+    larger integer forms and float64 otherwise.
     """
     if T.field != REAL:
         raise FieldMismatchError(
@@ -211,7 +233,7 @@ def _layout(T: MultilinearForm, budget: int):
         raise ValueError(
             "a coefficient of this float form is beyond the float range"
         ) from None
-    return active, k, others, counts, assignments, dtype, index, C
+    return _Layout(active, k, others, counts, assignments, dtype, index, C)
 
 
 def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormResult:
@@ -278,106 +300,75 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
     return NormResult(value, tuple(witness), True, k, work)
 
 
-class FlipScorer:
-    """Exact norms of the single-coefficient sign flips of one nonzero real
-    form, kept current as flips are applied.
+def _flip_scores(L: _Layout, n: int):
+    """The norm of the form laid out in L, with C as it stands, and the norms
+    of the n forms that each flip the sign of one of its first n
+    coefficients (in ``T.coeffs`` order).
 
     A flip keeps the support, so it keeps the layout of ``exact_norm_real``:
     the eliminated slot k, the enumerated patterns (the first sign of each
-    slot -1) and the numeric path.  The scorer holds the induced functionals
-    G, with row i the coordinate i of slot k and column p the pattern p, and
-    their l_1 norms ``val[p]``.  Flipping coefficient t changes one row,
-    G[t_k] -= 2 c_t mono_t with mono_t[p] = prod_{j != k} s_j[t_j] under
-    pattern p, so the flipped form's norm is
+    slot -1) and the numeric path.  Under pattern p it changes one coordinate
+    of the induced functional g_p, g_p[t_k] -> g_p[t_k] - 2 c_t mono_t[p]
+    with mono_t[p] = prod_{j != k} s_j[t_j], so the flipped form's norm is
 
-        max_p  val[p] - |G[t_k, p]| + |G[t_k, p] - 2 c_t mono_t[p]|.
+        max_p  |g_p|_1 - |g_p[t_k]| + |g_p[t_k] - 2 c_t mono_t[p]|.
 
-    Candidates are numbered in ``T.coeffs`` order.  For integer forms every
-    score is the value ``exact_norm_real`` gives the flipped form (in int64,
-    G - c_t mono_t is a partial sum, so nothing can wrap); for float forms it
-    agrees up to rounding.  G holds n_k * work / 2^(m-1) cells; every
-    temporary of a sweep or a flip holds at most ``_CHUNK_CELLS`` cells (and
-    at least one).
+    The functionals are streamed from C by ``_induced`` as in
+    ``exact_norm_real``, so the value is the one that kernel computes, and
+    the candidates are scored in blocks: no temporary holds more than
+    ``_CHUNK_CELLS`` cells (and at least one), whatever the vertex space.
+    Integer scores are exact (in int64, g_p[t_k] - c_t mono_t[p] is a partial
+    sum of the flipped form, so nothing can wrap); float scores agree with
+    ``exact_norm_real`` of the flipped form up to rounding.
     """
+    _, _, others, counts, _, dtype, index, C = L
+    cap = _CHUNK_CELLS
+    rows = np.asarray(index[-1][:n], dtype=np.intp)
+    c = C[tuple(i[:n] for i in index)]
+    if len(others) % 2:
+        c = -c
+    # mono_t[p] = (-1)^(m-1) (-1)^popcount(p & mask_t): coordinate q >= 1 of
+    # a slot is +1 exactly when its bit in p is set, coordinate 0 is -1; so
+    # c_t mono_t[p] is cm[popcount parity, t]
+    cm = np.stack([c, -c])
+    masks = np.zeros(n, dtype=np.int64)
+    bits = 0
+    for j in reversed(range(len(others))):
+        q = np.asarray(index[j][:n], dtype=np.int64)
+        masks |= (q > 0).astype(np.int64) << (bits + counts[j] - 1 - q)
+        bits += counts[j] - 1
 
-    def __init__(self, T: MultilinearForm, budget: int = DEFAULT_BUDGET):
-        layout = _layout(T, budget)
-        if layout is None:
-            raise ValueError("the zero form has no sign flips")
-        _, _, others, counts, assignments, dtype, index, C = layout
-        self._patterns = P = assignments >> len(others)
-        self._cols = np.asarray(index[-1], dtype=np.intp)
-
-        # mono_t[p] = (-1)^(m-1) (-1)^popcount(p & mask_t): coordinate c >= 1
-        # of a slot is +1 exactly when its bit in p is set, coordinate 0 is -1
-        self._masks = np.zeros(len(self._cols), dtype=np.int64)
-        shift = 0
-        for q in reversed(range(len(others))):
-            c = np.asarray(index[q], dtype=np.int64)
-            self._masks |= (c > 0).astype(np.int64) << (shift + counts[q] - 1 - c)
-            shift += counts[q] - 1
-        c = C[index]
-        if len(others) % 2:
-            c = -c
-        # c_t mono_t[p] is _cm[popcount parity, t]
-        self._cm = np.stack([c, -c])
-
-        self._G = np.empty((C.shape[-1], P), dtype=dtype)
-        self._val = np.empty(P, dtype=dtype)
-        if others:
-            for start, Y in _induced(C.reshape(counts[0], -1, 1), counts, _CHUNK_CELLS):
-                stop = start + Y.shape[1]
-                self._G[:, start:stop] = Y
-                self._val[start:stop] = np.abs(Y, out=Y).sum(axis=0)
-        else:
-            self._G[:, 0] = C
-            self._val[0] = np.abs(C).sum()
-
-    def value(self):
-        """The norm of the current form, as ``exact_norm_real`` types it."""
-        v = self._val.max()
-        return float(v) if self._val.dtype == np.float64 else int(v)
-
-    def _rows(self, idx, p0, p1):
-        """(G[t_k], G[t_k] - 2 c_t mono_t) on patterns p0..p1-1, one row per
-        candidate t in ``idx``."""
-        odd = np.bitwise_count(self._masks[idx, None] & np.arange(p0, p1)) & 1
-        cm = self._cm[odd, idx[:, None]]
-        g = self._G[self._cols[idx], p0:p1]
-        d = g - cm
-        d -= cm
-        return g, d
-
-    def scores(self, n: int) -> np.ndarray:
-        """Norms of the n forms that each flip one of the first n
-        coefficients."""
-        out = np.empty(n, dtype=self._val.dtype)
-        nb = max(1, min(n, _CHUNK_CELLS))
-        w = max(1, _CHUNK_CELLS // nb)
+    if others:
+        chunks = _induced(C.reshape(counts[0], -1, 1), counts, cap)
+    else:
+        chunks = [(0, C.reshape(-1, 1))]
+    value = None
+    scores = np.empty(n, dtype=dtype)
+    for start, Y in chunks:
+        w = Y.shape[1]
+        val = np.abs(Y).sum(axis=0)
+        top = val.max()
+        if value is None or top > value:
+            value = top
+        p = np.arange(start, start + w, dtype=np.int64)
+        nb = max(1, cap // w)
         for i0 in range(0, n, nb):
-            idx = np.arange(i0, min(n, i0 + nb))
-            best = None
-            for p0 in range(0, self._patterns, w):
-                p1 = min(self._patterns, p0 + w)
-                g, d = self._rows(idx, p0, p1)
-                v = np.abs(d, out=d)
-                v -= np.abs(g, out=g)
-                v += self._val[p0:p1]
-                top = v.max(axis=1)
-                best = top if best is None else np.maximum(best, top)
-            out[i0 : i0 + len(idx)] = best
-        return out
-
-    def flip(self, r: int):
-        """Flips the sign of coefficient r."""
-        col = self._cols[r]
-        idx = np.array([r])
-        for p0 in range(0, self._patterns, _CHUNK_CELLS):
-            p1 = min(self._patterns, p0 + _CHUNK_CELLS)
-            g, d = self._rows(idx, p0, p1)
-            self._G[col, p0:p1] = d[0]
-            self._val[p0:p1] += np.abs(d[0]) - np.abs(g[0])
-        self._cm[:, r] *= -1
+            t = np.arange(i0, min(n, i0 + nb))
+            x = masks[t, None] & p
+            for shift in (32, 16):
+                if bits > shift:
+                    x ^= x >> shift
+            x &= 0xFFFF
+            ct = cm[_PARITY16[x], t[:, None]]
+            g = Y[rows[t]]
+            d = g - ct
+            d -= ct
+            v = np.abs(d, out=d)
+            v -= np.abs(g, out=g)
+            v += val
+            top = v.max(axis=1)
+            scores[t] = top if start == 0 else np.maximum(scores[t], top)
+    return value, scores
 
 
 def brute_force_norm_real(T: MultilinearForm, budget: int = BRUTE_BUDGET):

@@ -3,12 +3,13 @@ experiment.
 
 The search climbs by single coefficient sign flips.  A flip changes no |c|,
 so the restricted sum is computed once per restart, and it keeps the
-support, so ``norms.FlipScorer`` scores every flip of a sweep incrementally
-from the induced functionals of the current form.  Contract: on integer
-forms each score is exactly the ``exact_norm_real`` value of the flipped
-form, so the climb takes the same moves as one that rebuilds and re-norms
-every candidate; on float forms scores agree to rounding, and near-ties may
-resolve differently.  Every reported ratio uses ``exact_norm_real`` of the
+support and the enumeration layout, so one streamed pass over the induced
+functionals of the current coefficient tensor scores every flip of a sweep
+(``norms._flip_scores``), with no rebuild and no re-enumeration per
+candidate.  Contract: on integer forms each score is exactly the
+``exact_norm_real`` value of the flipped form, so the climb takes the same
+moves as one that rebuilds and re-norms every candidate; on float forms
+scores agree to rounding, and near-ties may resolve differently.  Every reported ratio uses ``exact_norm_real`` of the
 returned form, so it is a mathematically valid lower bound for the matching
 optimal constant; results are deterministic for a fixed seed (restart seeds
 come from SeedSequence.spawn).
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import REAL, MultilinearForm
 from .generators import a_family, ksz_random, r_family, s_family
-from .norms import DEFAULT_BUDGET, FlipScorer, exact_norm_real
+from .norms import DEFAULT_BUDGET, _flip_scores, _layout, exact_norm_real
 from .sums import (
     FULL,
     RatioReport,
@@ -142,21 +143,23 @@ def maximize_ratio(
                 coeffs=dict(zip(positions, signs.tolist())),
             )
         s = restriction_sum(form, cfg.restriction, p)
-        scorer = FlipScorer(form, budget=cfg.norm_budget)
-        ratio = s / scorer.value()
+        layout = _layout(form, cfg.norm_budget)
+        if layout is None:
+            raise ValueError("the zero form has no sign flips to climb")
         evals += 1
         coeffs = dict(form.coeffs)
         keys = list(coeffs)
         while evals < cfg.budget:
             n = min(len(keys), cfg.budget - evals)
-            ratios = s / scorer.scores(n).astype(float)
+            value, scores = _flip_scores(layout, n)
+            ratio = s / value
+            ratios = s / scores.astype(float)
             evals += n
             i = int(np.argmax(ratios))
             if not ratios[i] > ratio:
                 break
-            scorer.flip(i)
+            layout.C[tuple(axis[i] for axis in layout.index)] *= -1
             coeffs[keys[i]] = -coeffs[keys[i]]
-            ratio = ratios[i]
         form = MultilinearForm(
             m=form.m, dims=form.dims, field=form.field, coeffs=coeffs
         )

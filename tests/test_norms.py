@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from bhforms import (
     BudgetExceededError,
     FieldMismatchError,
-    FlipScorer,
     HomogeneousPolynomial,
     MultiIndex,
     MultilinearForm,
@@ -31,6 +30,7 @@ from bhforms import (
     random_sparse,
     s_family,
 )
+from bhforms.norms import DEFAULT_BUDGET, _flip_scores, _layout
 from bhforms.verify import make_corpus
 
 
@@ -358,8 +358,9 @@ def _flipped(T, t):
     return MultilinearForm.build(T.m, T.dims, coeffs)
 
 
-def _assert_scores(scorer, T):
-    scores = scorer.scores(len(T.coeffs))
+def _assert_scores(layout, T):
+    value, scores = _flip_scores(layout, len(T.coeffs))
+    assert value == exact_norm_real(T).value
     for score, t in zip(scores, T.coeffs):
         want = exact_norm_real(_flipped(T, t)).value
         if T.is_integer():
@@ -371,32 +372,38 @@ def _assert_scores(scorer, T):
 NONZERO = (small_forms(INTS) | small_forms(FLOATS)).filter(lambda T: T.coeffs)
 
 
-@given(NONZERO, st.sampled_from([None, 64, 2, 1]), st.integers(0, 11))
-def test_flip_scores_are_exact_norms_of_the_flipped_forms(T, cap, r):
-    """Scores before and after one applied flip, with chunk caps that split
-    the candidates and the patterns into several chunks."""
+@given(NONZERO, st.sampled_from([None, 64, 2, 1]),
+       st.lists(st.integers(0, 11), max_size=6))
+def test_flip_scores_are_exact_norms_of_the_flipped_forms(T, cap, flips):
+    """Scores of every flip, then again after each of a run of applied flips,
+    with chunk caps that split the candidates and the patterns into several
+    chunks."""
     import bhforms.norms as normsmod
 
     old = normsmod._CHUNK_CELLS
     normsmod._CHUNK_CELLS = cap or old
     try:
-        scorer = FlipScorer(T)
-        assert scorer.value() == exact_norm_real(T).value
-        _assert_scores(scorer, T)
-        r %= len(T.coeffs)
-        scorer.flip(r)
-        T = _flipped(T, list(T.coeffs)[r])
-        _assert_scores(scorer, T)
-        if T.is_integer():
-            assert scorer.value() == exact_norm_real(T).value
-        else:
-            assert scorer.value() == pytest.approx(exact_norm_real(T).value, rel=1e-12)
+        layout = _layout(T, DEFAULT_BUDGET)
+        _assert_scores(layout, T)
+        for r in flips:
+            r %= len(T.coeffs)
+            layout.C[tuple(axis[r] for axis in layout.index)] *= -1
+            T = _flipped(T, list(T.coeffs)[r])
+            _assert_scores(layout, T)
     finally:
         normsmod._CHUNK_CELLS = old
 
 
-def test_flip_scorer_refuses_the_zero_form_and_complex_forms():
-    with pytest.raises(ValueError):
-        FlipScorer(MultilinearForm.build(2, (2, 2), {}))
-    with pytest.raises(FieldMismatchError):
-        FlipScorer(MultilinearForm.build(1, (1,), {(1,): 1j}, field="complex"))
+def test_flip_scores_past_16_pattern_bits():
+    """Slot 2 enumerates 18 coordinates, 2^17 patterns: the parity of a
+    flip's sign pattern needs bits above the 16-bit table."""
+    rng = np.random.default_rng(5)
+    coeffs = {(i, 1 + (i * 5) % 18): int(rng.integers(1, 9)) * (-1) ** i
+              for i in range(1, 19)}
+    coeffs.update({(1, 2): 7, (3, 1): -4})
+    T = MultilinearForm.build(2, (18, 18), coeffs)
+    layout = _layout(T, DEFAULT_BUDGET)
+    assert layout.assignments >> 1 == 2**17
+    value, scores = _flip_scores(layout, len(T.coeffs))
+    assert value == exact_norm_real(T).value
+    assert list(scores) == [exact_norm_real(_flipped(T, t)).value for t in T.coeffs]

@@ -202,8 +202,11 @@ def test_float_start_reports_the_returned_form_exactly():
     assert report.ratio >= ratio_report(initial, restriction=cfg.restriction).ratio
 
 
-def test_search_memory_stays_bounded():
-    cfg = SearchConfig(m=4, dims=(6, 6, 6, 6), budget=200, restarts=1, seed=0)
+@pytest.mark.parametrize("dims, budget", [((6, 6, 6, 6), 200), ((20, 20), 3)])
+def test_search_memory_stays_bounded(dims, budget):
+    """(20, 20) enumerates 2^19 patterns of 20 induced coordinates: holding
+    them all would take 80 MB."""
+    cfg = SearchConfig(m=len(dims), dims=dims, budget=budget, restarts=1, seed=0)
     tracemalloc.start()
     try:
         maximize_ratio(cfg)
@@ -211,6 +214,12 @@ def test_search_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_zero_initial_form_rejected():
+    cfg = SearchConfig(m=2, dims=(2, 2), budget=10, restarts=1)
+    with pytest.raises(ValueError, match="zero form"):
+        maximize_ratio(cfg, initial=MultilinearForm.build(2, (2, 2), {}))
 
 
 def test_initial_must_match_the_config():
