@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -53,14 +54,8 @@ def _gen(args) -> int:
     needs_seed = fam in ("ksz", "random")
     if needs_seed and args.seed is None:
         raise UsageError(f"--seed is required for family {fam!r}")
-    if fam == "s2":
-        T = generators.littlewood_s2()
-    elif fam == "s":
-        T = generators.s_family(args.m)
-    elif fam == "r":
-        T = generators.r_family(args.m)
-    elif fam == "a":
-        T = generators.a_family(args.m)
+    if fam in generators.FAMILIES:
+        T = generators.FAMILIES[fam](args.m)
     elif fam == "ksz":
         if args.n is None:
             raise UsageError("--n is required for family 'ksz'")
@@ -117,15 +112,7 @@ def _load_or_generate(args):
         return core.load_any(args.infile)
     if args.family is None:
         raise UsageError("either --in or --family is required")
-    if args.family == "s2":
-        return generators.littlewood_s2()
-    if args.family == "s":
-        return generators.s_family(args.m)
-    if args.family == "r":
-        return generators.r_family(args.m)
-    if args.family == "a":
-        return generators.a_family(args.m)
-    raise UsageError(f"unknown family {args.family!r}")
+    return generators.FAMILIES[args.family](args.m)
 
 
 def _ratio(args) -> int:
@@ -231,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a named or random form")
     g.add_argument("--family", required=True,
-                   choices=["s2", "s", "r", "a", "ksz", "random"])
+                   choices=[*generators.FAMILIES, "ksz", "random"])
     g.add_argument("--m", type=int, default=2)
     g.add_argument("--n", type=int)
     g.add_argument("--dims", type=str)
@@ -260,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("ratio", help="sum / norm ratio report")
     r.add_argument("--in", dest="infile")
-    r.add_argument("--family", choices=["s2", "s", "r", "a"])
+    r.add_argument("--family", choices=list(generators.FAMILIES))
     r.add_argument("--m", type=int, default=2)
     r.add_argument("--p", default="bh")
     r.add_argument("--card", type=int)
@@ -309,10 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run, not at import; parse_args keeps no state
+    # between calls, so one parser serves every run of the process
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -76,6 +76,18 @@ def a_family(m: int) -> MultilinearForm:
     return MultilinearForm.build(m, base.dims + (1,), coeffs)
 
 
+
+# family name -> a function of the arity m (s2 has a fixed arity and
+# ignores it).  The constructors are looked up when called, so a
+# wrapper bound to this module's attribute (as the benchmark's tracer binds
+# one) is the one that runs.
+FAMILIES = {
+    "s2": lambda m: littlewood_s2(),
+    "s": lambda m: s_family(m),
+    "r": lambda m: r_family(m),
+    "a": lambda m: a_family(m),
+}
+
 def ksz_random(m: int, n: int, seed: int, budget: int = KSZ_BUDGET) -> MultilinearForm:
     """Dense +-1 coefficient tensor over {1..n}^m with i.i.d. uniform signs,
     drawn in lexicographic tuple order from the seeded stream."""

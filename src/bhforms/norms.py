@@ -525,7 +525,18 @@ def poly_lower_bound(
     update solves the univariate problem on [-1,1] by derivative root
     isolation, each complex coordinate scans 16 phases on the unit circle and
     refines locally (by the maximum modulus principle the per-coordinate
-    optimum lies on the circle)."""
+    optimum lies on the circle).
+
+    The ascent runs on a plan built once per call: per active variable its
+    degree and, in ``P.coeffs`` order, each monomial's exponent of the
+    variable, its coefficient and its other factors as positions in a table
+    of the powers x_v^e.  A move recomputes only the moved variable's
+    powers.  A real coordinate of degree 1 takes the larger of |q(-1)| and
+    |q(1)| (a line has no critical point); higher degrees go through root
+    isolation.  Every product, sum and power is the one the naive ascent
+    (rescan every monomial per update) computes, in the same order, so the
+    trajectory, the value, the witness and ``work`` are the same bits.
+    """
     if not P.coeffs:
         return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
     if P.field == REAL and P.is_multiaffine():
@@ -533,6 +544,29 @@ def poly_lower_bound(
 
     act = P.active_variables()
     complex_field = P.field == COMPLEX
+    zero = 0.0 + 0.0j if complex_field else 0.0
+    # pw[i] = x_v^e for the i-th pair (v, e) some monomial uses
+    pairs = sorted({ve for alpha in P.coeffs for ve in alpha.exponents})
+    where = {ve: i for i, ve in enumerate(pairs)}
+    own = {v: [(i, e) for i, (v2, e) in enumerate(pairs) if v2 == v] for v in act}
+    plan = []
+    for var in act:
+        terms = []
+        for alpha, c in P.coeffs.items():
+            e = 0
+            rest = []
+            for ve in alpha.exponents:
+                if ve[0] == var:
+                    e = ve[1]
+                else:
+                    rest.append(where[ve])
+            terms.append((e, c, rest))
+        plan.append((var, max(e for e, _, _ in terms), terms))
+    if complex_field:
+        phases = np.exp(2j * math.pi * np.arange(16) / 16.0)
+        top = max(deg for _, deg, _ in plan)
+        phase_pw = [[z**d for d in range(top + 1)] for z in phases]
+
     children = np.random.SeedSequence(seed).spawn(restarts)
     best_val = -1.0
     best_x = None
@@ -546,23 +580,21 @@ def poly_lower_bound(
                 x[var - 1] = complex(math.cos(theta), math.sin(theta))
             else:
                 x[var - 1] = 2.0 * rng.random() - 1.0
+        pw = [x[v - 1] ** e for v, e in pairs]
         val = abs(P.evaluate(x))
         for _ in range(max_rounds):
             before = val
-            for var in act:
-                deg = max(alpha.exponent_of(var) for alpha in P.coeffs)
-                coefs = [0.0 + 0.0j if complex_field else 0.0] * (deg + 1)
-                for alpha, c in P.coeffs.items():
+            for var, deg, terms in plan:
+                coefs = [zero] * (deg + 1)
+                for e, c, rest in terms:
                     term = c
-                    for v2, e2 in alpha.exponents:
-                        if v2 != var:
-                            term = term * x[v2 - 1] ** e2
-                    coefs[alpha.exponent_of(var)] += term
+                    for i in rest:
+                        term = term * pw[i]
+                    coefs[e] += term
                 if complex_field:
-                    phases = np.exp(2j * math.pi * np.arange(16) / 16.0)
                     vals = [
-                        abs(sum(coefs[d] * z**d for d in range(deg + 1)))
-                        for z in phases
+                        abs(sum(coefs[d] * zp[d] for d in range(deg + 1)))
+                        for zp in phase_pw
                     ]
                     bi = int(np.argmax(vals))
                     theta, width = 2.0 * math.pi * bi / 16.0, 2.0 * math.pi / 16.0
@@ -574,12 +606,20 @@ def poly_lower_bound(
                             if v > bv:
                                 bv, bz, theta = v, z, th
                         width /= 2
-                    x[var - 1] = bz
-                    val = bv
+                    t, val = bz, bv
+                elif deg == 1:
+                    # _best_on_interval's endpoints, in its order and tie rule
+                    c0, c1 = coefs
+                    t, val = 1.0, -1.0
+                    for u in (-1.0, 1.0):
+                        v = abs(c0 + c1 * u)
+                        if v > val:
+                            t, val = u, v
                 else:
-                    t, v = _best_on_interval(coefs)
-                    x[var - 1] = t
-                    val = v
+                    t, val = _best_on_interval(coefs)
+                x[var - 1] = t
+                for i, e in own[var]:
+                    pw[i] = t**e
                 work += 1
             if val - before <= 1e-12 * max(1.0, abs(val)):
                 break

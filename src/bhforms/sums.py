@@ -68,15 +68,20 @@ FULL = Restriction("full")
 
 def lp_sum(coeffs, p: float) -> float:
     """(sum |c|^p)^(1/p), with the max magnitude factored out so small p and
-    huge coefficient counts cannot overflow."""
+    huge coefficient counts cannot overflow.  An int coefficient whose
+    magnitude, or sum, is beyond the float range raises ``ValueError``."""
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
     mags = [abs(c) for c in coeffs]
     mx = max(mags, default=0)
     if mx == 0:
         return 0.0
-    total = sum((x / mx) ** p for x in mags)
-    return mx * total ** (1.0 / p)
+    try:
+        total = sum((x / mx) ** p for x in mags)
+        return mx * total ** (1.0 / p)
+    except OverflowError:
+        # an int beyond the float range: the sum has no float value
+        raise ValueError("a coefficient is beyond the float range") from None
 
 
 def restricted_sum(T: MultilinearForm, M: int, p: float) -> float:

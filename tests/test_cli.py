@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from bhforms import cli
 from bhforms.cli import run
 
 
@@ -175,3 +176,72 @@ def test_norm_of_float_form_beyond_float_range_exit_2(tmp_path):
     assert code == 2
     assert out == ""
     assert "float range" in err
+
+
+def _wide_float_form(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text('{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
+                    '{"idx":[1,1],"re":1%s},{"idx":[2,2],"re":0.5}]}' % ("0" * 400))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["sum", "ratio"])
+def test_sum_of_float_form_beyond_float_range_exit_2(tmp_path, command):
+    code, out, err = invoke([command, "--in", _wide_float_form(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
+def _fresh(argv):
+    """``invoke`` with a parser built for this call alone."""
+    cli._parser.cache_clear()
+    try:
+        return invoke(argv)
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_one_parser_per_process(monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda real=cli.build_parser: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        invoke(["gen", "--family", "s2"])
+        invoke(["gen", "--family", "bogus"])
+        invoke(["gen", "--family", "s", "--m", "3"])
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path):
+    """Runs that share the parser give the stdout, stderr and exit code of a
+    freshly built parser: no option or error leaks into the next run."""
+    form = str(tmp_path / "f.json")
+    poly = str(tmp_path / "p.json")
+    lifted = str(tmp_path / "l.json")
+    assert _fresh(["gen", "--family", "random", "--m", "2", "--dims", "3,3",
+                   "--seed", "4", "--out", form])[0] == 0
+    assert _fresh(["construct", "symmetrize", "--in", form, "--out", poly])[0] == 0
+    assert _fresh(["construct", "lift", "--in", poly, "--m", "3",
+                   "--out", lifted])[0] == 0
+    sequence = [
+        ["sum", "--in", form, "--card", "2"],
+        ["sum", "--in", form],
+        ["sum", "--in", form, "--card"],  # usage error: --card needs a value
+        ["sum", "--in", form, "--p", "2"],
+        ["norm", "--in", lifted, "--seed", "5"],
+        ["norm", "--in", lifted],
+    ]
+    cli._parser.cache_clear()
+    shared = [invoke(argv) for argv in sequence]
+    assert [_fresh(argv) for argv in sequence] == shared
+    assert json.loads(shared[0][1])["restriction"]["kind"] == "card"
+    assert json.loads(shared[1][1])["restriction"] == {"kind": "full"}
+    assert shared[2][0] == 2 and "--card" in shared[2][2]
+    assert shared[3][0] == 0 and json.loads(shared[3][1])["p"] == 2.0
+    # the seed does not carry over: the last run is the seed-0 default
+    assert shared[4][1] != shared[5][1]
+    assert shared[5] == _fresh(["norm", "--in", lifted, "--seed", "0"])

@@ -135,3 +135,26 @@ def test_random_sparse_validation():
         random_sparse(2, (2, 2), 0.0, seed=1)
     with pytest.raises(ValueError):
         random_sparse(2, (2, 2), 0.5, coeff_dist="cauchy", seed=1)
+
+
+def test_family_registry():
+    from bhforms import generators
+
+    assert list(generators.FAMILIES) == ["s2", "s", "r", "a"]
+    assert generators.FAMILIES["s2"](5) == littlewood_s2()
+    assert generators.FAMILIES["s"](4) == s_family(4)
+    assert generators.FAMILIES["r"](4) == r_family(4)
+    assert generators.FAMILIES["a"](5) == a_family(5)
+
+
+def test_family_registry_sees_rebound_constructors(monkeypatch):
+    """The registry calls whatever the module attribute holds when it is
+    used, so a wrapper bound there (as a tracer binds one) runs."""
+    from bhforms import cli, generators
+
+    calls = []
+    real = generators.s_family
+    monkeypatch.setattr(generators, "s_family", lambda m: calls.append(m) or real(m))
+    assert generators.FAMILIES["s"](3) == real(3)
+    assert cli.run(["ratio", "--family", "s", "--m", "4"]) == 0
+    assert calls == [3, 4]

@@ -1,5 +1,6 @@
 import io
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from bhforms import (
     dumps,
     exact_norm_real,
     ksz_random,
+    lift_polynomial,
     littlewood_s2,
     load_form,
     lp_sum,
@@ -407,3 +409,139 @@ def test_flip_scores_past_16_pattern_bits():
     value, scores = _flip_scores(layout, len(T.coeffs))
     assert value == exact_norm_real(T).value
     assert list(scores) == [exact_norm_real(_flipped(T, t)).value for t in T.coeffs]
+
+
+# --- table-driven polynomial ascent -------------------------------------------
+
+
+def _naive_poly_lower_bound(P, seed=0, restarts=8, max_rounds=60):
+    """Reference: the coordinate ascent of ``poly_lower_bound`` written out
+    naively, rescanning every monomial for the degree and each exponent of
+    the variable at every update."""
+    from bhforms.norms import NormResult, _best_on_interval, _poly_vertex_norm
+
+    if not P.coeffs:
+        return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
+    if P.field == "real" and P.is_multiaffine():
+        return _poly_vertex_norm(P)
+    act = P.active_variables()
+    complex_field = P.field == "complex"
+    best_val, best_x, work = -1.0, None, 0
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        x = [1.0] * P.n
+        for var in act:
+            if complex_field:
+                theta = 2.0 * math.pi * rng.random()
+                x[var - 1] = complex(math.cos(theta), math.sin(theta))
+            else:
+                x[var - 1] = 2.0 * rng.random() - 1.0
+        val = abs(P.evaluate(x))
+        for _ in range(max_rounds):
+            before = val
+            for var in act:
+                deg = max(alpha.exponent_of(var) for alpha in P.coeffs)
+                coefs = [0.0 + 0.0j if complex_field else 0.0] * (deg + 1)
+                for alpha, c in P.coeffs.items():
+                    term = c
+                    for v2, e2 in alpha.exponents:
+                        if v2 != var:
+                            term = term * x[v2 - 1] ** e2
+                    coefs[alpha.exponent_of(var)] += term
+                if complex_field:
+                    phases = np.exp(2j * math.pi * np.arange(16) / 16.0)
+                    vals = [abs(sum(coefs[d] * z**d for d in range(deg + 1)))
+                            for z in phases]
+                    bi = int(np.argmax(vals))
+                    theta, width = 2.0 * math.pi * bi / 16.0, 2.0 * math.pi / 16.0
+                    bv, bz = vals[bi], phases[bi]
+                    for _ in range(20):
+                        for th in (theta - width / 2, theta + width / 2):
+                            z = complex(math.cos(th), math.sin(th))
+                            v = abs(sum(coefs[d] * z**d for d in range(deg + 1)))
+                            if v > bv:
+                                bv, bz, theta = v, z, th
+                        width /= 2
+                    x[var - 1] = bz
+                    val = bv
+                else:
+                    t, v = _best_on_interval(coefs)
+                    x[var - 1] = t
+                    val = v
+                work += 1
+            if val - before <= 1e-12 * max(1.0, abs(val)):
+                break
+        if val > best_val:
+            best_val, best_x = val, tuple(x)
+    return NormResult(best_val, (best_x,), False, None, work)
+
+
+def _lifted(dims, dist, seed, boost):
+    T = random_sparse(len(dims), dims, 0.8, coeff_dist=dist, seed=seed)
+    P = diagonal_polynomial(disjointify(T)[0])
+    return lift_polynomial(P, P.m + boost)
+
+
+def _poly(m, n, coeffs, field="real"):
+    return HomogeneousPolynomial.build(
+        m, n, {MultiIndex.from_pairs(a): c for a, c in coeffs}, field=field)
+
+
+def _complex_lift(boost):
+    P = diagonal_polynomial(disjointify(random_sparse(2, (3, 3), 0.9, seed=4))[0])
+    PC = HomogeneousPolynomial.build(
+        P.m, P.n, {a: complex(c, 0.5 - c) for a, c in P.coeffs.items()},
+        field="complex")
+    return lift_polynomial(PC, P.m + boost)
+
+
+POLY_CASES = {
+    **{f"lift-{dist}-{dims}+{b}": (lambda d=dims, s=dist, b=b: _lifted(d, s, 7, b))
+       for dist in ("pm1", "gaussian", "uniform")
+       for dims in ((3, 3), (2, 2, 2))
+       for b in (1, 2)},
+    "complex-lift+1": lambda: _complex_lift(1),
+    "complex-lift+2": lambda: _complex_lift(2),
+    "complex-mixed": lambda: _poly(3, 3, [
+        ([(1, 2), (2, 1)], 1 + 2j), ([(2, 3)], -0.5j), ([(1, 1), (2, 1), (3, 1)], 0.75),
+        ([(3, 2), (1, 1)], -1.25 + 0.5j)], field="complex"),
+    **{f"power-{m}": (lambda m=m: _poly(m, 2, [([(2, m)], 1)])) for m in (2, 3, 6)},
+    "complex-power": lambda: _poly(4, 1, [([(1, 4)], 2j)], field="complex"),
+    "mixed-real": lambda: _poly(4, 3, [
+        ([(1, 2), (2, 2)], 1.5), ([(2, 3), (3, 1)], -2), ([(1, 1), (3, 3)], 0.25),
+        ([(1, 1), (2, 1), (3, 2)], -0.875), ([(3, 4)], 3)]),
+    "mixed-int": lambda: _poly(3, 4, [
+        ([(1, 2), (4, 1)], 2), ([(2, 2), (3, 1)], -3), ([(3, 3)], 1),
+        ([(1, 1), (2, 1), (4, 1)], -1)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POLY_CASES))
+def test_poly_lower_bound_is_bit_identical_to_the_naive_ascent(name):
+    """Same value, witness and work to the last bit (compared as JSON text)
+    as the naive ascent, for every seed and restart count."""
+    P = POLY_CASES[name]()
+    assert not P.is_multiaffine()
+    for seed in (0, 3, 11):
+        for restarts in (1, 4, 8):
+            got = poly_lower_bound(P, seed=seed, restarts=restarts)
+            want = _naive_poly_lower_bound(P, seed=seed, restarts=restarts)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_poly_lower_bound_has_no_per_update_rescan():
+    """The plan is built once per call: no exponent_of call, and no
+    numpy Polynomial for a coordinate of degree 1."""
+    import bhforms.norms as normsmod
+
+    P = _lifted((3, 3), "gaussian", 7, 2)
+    calls = []
+    real = normsmod._best_on_interval
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MultiIndex, "exponent_of",
+                   lambda self, var: pytest.fail("exponent_of called"))
+        mp.setattr(normsmod, "_best_on_interval",
+                   lambda coefs: calls.append(len(coefs)) or real(coefs))
+        r = poly_lower_bound(P, seed=3, restarts=4)
+    assert calls and min(calls) >= 3  # only x_1, of degree >= 2
+    assert len(calls) < r.work

@@ -191,3 +191,16 @@ def test_restricted_ratio_below_theorem_bound():
         for M in range(1, T.m + 1):
             ratio = restricted_sum(T, M, bh_exponent(T.m)) / exact_norm_real(T).value
             assert ratio <= theorem_upper_bound(T.m, M) * (1 + 1e-12)
+
+
+def test_sums_beyond_float_range_are_value_errors():
+    T = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): 0.5})
+    for values in ([10**400, 0.5], [10**400], [0.5, -(10**400), 3]):
+        with pytest.raises(ValueError, match="float range"):
+            lp_sum(values, 4 / 3)
+    with pytest.raises(ValueError, match="float range"):
+        restricted_sum(T, 1, 2.0)
+    with pytest.raises(ValueError, match="float range"):
+        ratio_report(T)
+    # huge ints whose sum has a float value still work
+    assert lp_sum([10**300, 10**300], 1) == 2e300
