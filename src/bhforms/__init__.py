@@ -23,7 +23,6 @@ from .core import (
     load_any,
     load_form,
     load_poly,
-    omega,
     save_form,
     save_poly,
 )

@@ -71,10 +71,6 @@ class BudgetExceededError(BHError):
 # --- scalar helpers ---------------------------------------------------------
 
 
-def is_zero(c) -> bool:
-    return c == 0
-
-
 def is_exact_int(c) -> bool:
     return isinstance(c, int) and not isinstance(c, bool)
 
@@ -159,7 +155,7 @@ class MultilinearForm:
                         f"index {i} out of range 1..{dims[j]} in slot {j + 1}"
                     )
             _check_scalar(c, field, f"coefficient at {t}")
-            if not is_zero(c):
+            if c != 0:
                 canon[t] = c
         return cls(m=m, dims=dims, field=field, coeffs=canon)
 
@@ -290,10 +286,6 @@ class MultiIndex:
         return MultiIndex.from_pairs(d.items())
 
 
-def omega(alpha: MultiIndex) -> int:
-    return alpha.omega
-
-
 @dataclass(frozen=True)
 class HomogeneousPolynomial:
     """A degree-m homogeneous polynomial in n variables, as a sparse monomial map."""
@@ -324,7 +316,7 @@ class HomogeneousPolynomial:
                     f"variable {alpha.max_variable()} exceeds ambient dimension {n}"
                 )
             _check_scalar(c, field, f"coefficient at {alpha}")
-            if not is_zero(c):
+            if c != 0:
                 canon[alpha] = c
         return cls(m=m, n=n, field=field, coeffs=canon)
 

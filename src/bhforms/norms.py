@@ -31,7 +31,15 @@ every partial sum and every value, so no intermediate can wrap.  Larger
 integer forms run the same kernel on Python ints (``dtype=object``): slower,
 still exact.  Forms with any float coefficient use float64.
 
-Complex norms are nonconvex over the torus; only seeded lower bounds are
+Polynomials reach this kernel through forms.  A real multiaffine polynomial
+is normed by vertex enumeration.  Another real polynomial P = x^beta * Q,
+with x^beta the monomial common to all its terms, has ||P|| = ||Q||; when Q
+is multiaffine and uses one variable of each class mod its degree (as a
+lift of a symmetrized form does, see ``poly_lower_bound``), Q is the
+diagonal of a form whose exact norm is ||P||.
+
+Complex norms are nonconvex over the torus.  For complex forms, complex
+polynomials and the remaining real polynomials only seeded lower bounds are
 provided (``ascent_lower_bound``, ``poly_lower_bound``).
 """
 
@@ -44,12 +52,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .constructions import SlotEmbedding, reconstruct_form
 from .core import (
     COMPLEX,
     REAL,
     BudgetExceededError,
     FieldMismatchError,
     HomogeneousPolynomial,
+    MultiIndex,
     MultilinearForm,
 )
 
@@ -417,9 +427,21 @@ def ascent_lower_bound(
     """Alternating maximization: cycle through slots, replacing each argument
     by the exact maximizer of the induced linear functional (sign vector for
     real scalars, conjugate phases for complex).  The value is nondecreasing;
-    the result is a certified lower bound, deterministic for a fixed seed."""
+    the result is a certified lower bound, deterministic for a fixed seed.
+    The ascent computes in floats, so a coefficient beyond the float range
+    raises ``ValueError``."""
     if not T.coeffs:
         return NormResult(0, _all_ones_witness(T), False, None, 0)
+    try:
+        return _form_ascent(T, seed, restarts, max_rounds)
+    except OverflowError:
+        # an int beyond the float range meets the ascent's floats
+        raise ValueError("a coefficient is beyond the float range") from None
+
+
+def _form_ascent(
+    T: MultilinearForm, seed: int, restarts: int, max_rounds: int
+) -> NormResult:
     active = T.active_support()
     complex_field = T.field == COMPLEX
     children = np.random.SeedSequence(seed).spawn(restarts)
@@ -511,6 +533,65 @@ def _best_on_interval(coefs: list) -> tuple:
     return best_t, best_v
 
 
+def _poly_form_norm(P: HomogeneousPolynomial, budget: int) -> NormResult | None:
+    """Exact norm of a real polynomial through a form, or None where that
+    path does not apply.
+
+    Let x^beta be the monomial common to every term (per variable the least
+    exponent) and Q = P / x^beta, of degree m'.  On the cube |x^beta| <= 1,
+    with equality at every vertex, so when Q is multiaffine ||P|| = ||Q||.
+    When moreover every monomial of Q uses one variable of each class
+    (v-1) mod m', Q is the diagonal of the form T that ``reconstruct_form``
+    rebuilds through ``SlotEmbedding(m')``, and ||Q|| = ||T||.  T's witness
+    is mapped back through the embedding, every other variable is +1, and
+    the witness is re-evaluated on P.  None when m' = 0, when
+    ``reconstruct_form`` refuses Q (a variable of Q squared, or a monomial
+    missing a class) or when T's vertex space exceeds ``budget``.
+    """
+    beta = None
+    for alpha in P.coeffs:
+        e = dict(alpha.exponents)
+        if beta is None:
+            beta = e
+        for v in list(beta):
+            if v in e:
+                beta[v] = min(beta[v], e[v])
+            else:
+                del beta[v]
+    m = P.m - sum(beta.values())
+    if m == 0:
+        return None
+    cut = beta.get
+    coeffs = {
+        MultiIndex(tuple((v, e - cut(v, 0)) for v, e in a.exponents if e != cut(v))): c
+        for a, c in P.coeffs.items()
+    }
+    Q = HomogeneousPolynomial(m=m, n=P.n, field=P.field, coeffs=coeffs)
+    emb = SlotEmbedding(m)
+    try:
+        T = reconstruct_form(Q, emb, ((P.n - 1) // m + 1,) * m)
+    except ValueError:
+        return None
+    try:
+        r = exact_norm_real(T, budget=budget)
+    except BudgetExceededError:
+        return None
+    x = [1] * P.n
+    for slot, w in enumerate(r.witness, 1):
+        for j, s in enumerate(w, 1):
+            v = emb.apply(slot, j)
+            if v <= P.n:
+                x[v - 1] = s
+    v = abs(P.evaluate(x))
+    if isinstance(r.value, int):
+        ok = v == r.value
+    else:
+        ok = abs(v - r.value) <= REL_TOL * max(1.0, v)
+    if not ok:
+        raise RuntimeError(f"the witness gives {v}, the form's norm is {r.value}")
+    return NormResult(r.value, (tuple(x),), True, None, r.work)
+
+
 def poly_lower_bound(
     P: HomogeneousPolynomial,
     seed: int = 0,
@@ -518,14 +599,41 @@ def poly_lower_bound(
     max_rounds: int = 60,
     budget: int = BRUTE_BUDGET,
 ) -> NormResult:
-    """Lower bound on sup |P| over the unit ball of l_inf^n.
+    """Lower bound on sup |P| over the unit ball of l_inf^n; exact (the flag
+    set) for the real polynomials below.
 
-    Real multiaffine polynomials delegate to exact vertex enumeration (exact
-    flag set).  Otherwise: cyclic coordinate ascent; each real coordinate
-    update solves the univariate problem on [-1,1] by derivative root
-    isolation, each complex coordinate scans 16 phases on the unit circle and
-    refines locally (by the maximum modulus principle the per-coordinate
-    optimum lies on the circle).
+    Real multiaffine polynomials delegate to exact vertex enumeration.  Other
+    real polynomials whose quotient by their common monomial is a rainbow
+    multiaffine polynomial are normed exactly through their form by
+    ``exact_norm_real``; see ``_poly_form_norm``.  These include the lift of
+    a symmetrized form whose slots each have two or more active coordinates.
+    ``budget`` caps either vertex space.
+    Complex polynomials, the other real ones and those past the budget get
+    the coordinate ascent of ``_poly_ascent``.  The ascent computes in floats,
+    so a coefficient beyond the float range raises ``ValueError`` there.
+    """
+    if not P.coeffs:
+        return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
+    if P.field == REAL:
+        if P.is_multiaffine():
+            return _poly_vertex_norm(P, budget=budget)
+        result = _poly_form_norm(P, budget)
+        if result is not None:
+            return result
+    try:
+        return _poly_ascent(P, seed, restarts, max_rounds)
+    except OverflowError:
+        raise ValueError("a coefficient is beyond the float range") from None
+
+
+def _poly_ascent(
+    P: HomogeneousPolynomial, seed: int = 0, restarts: int = 8, max_rounds: int = 60
+) -> NormResult:
+    """A seeded lower bound on sup |P| for a nonzero P by cyclic coordinate
+    ascent: each real coordinate update solves the univariate problem on
+    [-1,1] by derivative root isolation, each complex coordinate scans 16
+    phases on the unit circle and refines locally (by the maximum modulus
+    principle the per-coordinate optimum lies on the circle).
 
     The ascent runs on a plan built once per call: per active variable its
     degree and, in ``P.coeffs`` order, each monomial's exponent of the
@@ -537,11 +645,6 @@ def poly_lower_bound(
     (rescan every monomial per update) computes, in the same order, so the
     trajectory, the value, the witness and ``work`` are the same bits.
     """
-    if not P.coeffs:
-        return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
-    if P.field == REAL and P.is_multiaffine():
-        return _poly_vertex_norm(P, budget=budget)
-
     act = P.active_variables()
     complex_field = P.field == COMPLEX
     zero = 0.0 + 0.0j if complex_field else 0.0

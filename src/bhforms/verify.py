@@ -257,6 +257,21 @@ def _construction_checks(out):
     out.append(_check("lift_chain", 0, bad, 0.0,
                       "degree lift keeps coefficients, caps variables at M, shrinks |P|"))
 
+    bad = 0
+    for T in make_corpus(50, 3, 3, seed=7007):
+        n_t = exact_norm_real(T).value
+        L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), T.m + 2)
+        r = poly_lower_bound(L)
+        v = abs(L.evaluate(r.witness[0]))
+        if T.is_integer():
+            bad += not r.value == v == n_t
+        else:
+            bad += not (abs(r.value - n_t) <= 1e-9 * max(1.0, n_t)
+                        and abs(v - r.value) <= 1e-9 * max(1.0, v))
+    out.append(_check("lift_norm_chain", 0, bad, 0.0,
+                      "the lift of the symmetrized form has the form's norm, "
+                      "with a witness"))
+
 
 def _experiment_checks(out):
     table = ksz_scaling_experiment(2, (4, 8, 16), samples=50, seed=2024)

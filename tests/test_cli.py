@@ -193,6 +193,25 @@ def test_sum_of_float_form_beyond_float_range_exit_2(tmp_path, command):
     assert err.startswith("error: ") and "float range" in err
 
 
+def test_ascent_on_float_form_beyond_float_range_exit_2(tmp_path):
+    code, out, err = invoke(["norm", "--method", "ascent", "--seed", "0",
+                             "--in", _wide_float_form(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
+def test_poly_ascent_beyond_float_range_exit_2(tmp_path):
+    """Squared variables: the ascent's floats meet a 10^400 coefficient."""
+    path = tmp_path / "wide-poly.json"
+    path.write_text('{"kind":"poly","m":2,"n":2,"field":"real","coeffs":['
+                    '{"alpha":[[1,2]],"re":1%s},{"alpha":[[2,2]],"re":1}]}' % ("0" * 400))
+    code, out, err = invoke(["norm", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
 def _fresh(argv):
     """``invoke`` with a parser built for this call alone."""
     cli._parser.cache_clear()
@@ -220,20 +239,23 @@ def test_reused_parser_matches_a_fresh_one(tmp_path):
     """Runs that share the parser give the stdout, stderr and exit code of a
     freshly built parser: no option or error leaks into the next run."""
     form = str(tmp_path / "f.json")
-    poly = str(tmp_path / "p.json")
-    lifted = str(tmp_path / "l.json")
     assert _fresh(["gen", "--family", "random", "--m", "2", "--dims", "3,3",
                    "--seed", "4", "--out", form])[0] == 0
-    assert _fresh(["construct", "symmetrize", "--in", form, "--out", poly])[0] == 0
-    assert _fresh(["construct", "lift", "--in", poly, "--m", "3",
-                   "--out", lifted])[0] == 0
+    # squared variables and no common factor: only the seeded ascent norms
+    # this polynomial, so its output depends on --seed
+    poly = str(tmp_path / "q.json")
+    terms = [([[1, 2], [2, 1]], 1.0), ([[2, 2], [3, 1]], 2.0),
+             ([[1, 1], [3, 2]], -1.0), ([[1, 1], [2, 1], [3, 1]], -0.5)]
+    with open(poly, "w", encoding="utf-8") as fh:
+        json.dump({"kind": "poly", "m": 3, "n": 3, "field": "real",
+                   "coeffs": [{"alpha": a, "re": c} for a, c in terms]}, fh)
     sequence = [
         ["sum", "--in", form, "--card", "2"],
         ["sum", "--in", form],
         ["sum", "--in", form, "--card"],  # usage error: --card needs a value
         ["sum", "--in", form, "--p", "2"],
-        ["norm", "--in", lifted, "--seed", "5"],
-        ["norm", "--in", lifted],
+        ["norm", "--in", poly, "--seed", "5"],
+        ["norm", "--in", poly],
     ]
     cli._parser.cache_clear()
     shared = [invoke(argv) for argv in sequence]
@@ -244,4 +266,5 @@ def test_reused_parser_matches_a_fresh_one(tmp_path):
     assert shared[3][0] == 0 and json.loads(shared[3][1])["p"] == 2.0
     # the seed does not carry over: the last run is the seed-0 default
     assert shared[4][1] != shared[5][1]
-    assert shared[5] == _fresh(["norm", "--in", lifted, "--seed", "0"])
+    assert json.loads(shared[5][1])["exact"] is False
+    assert shared[5] == _fresh(["norm", "--in", poly, "--seed", "0"])

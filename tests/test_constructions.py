@@ -1,14 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bhforms import (
     HomogeneousPolynomial,
     MultiIndex,
     MultilinearForm,
+    ParseError,
     SlotEmbedding,
     bh_exponent,
     diagonal_polynomial,
     disjointify,
+    dumps,
     exact_norm_real,
     lift_polynomial,
     littlewood_s2,
@@ -137,3 +143,102 @@ def test_lift_of_s_family_diagonal():
     assert lp_sum(L.coeffs.values(), p) == pytest.approx(
         lp_sum(P.coeffs.values(), p), rel=1e-12
     )
+
+
+# --- trusted constructions against the validating builds -----------------------
+
+
+def _built_disjointify(T):
+    emb = SlotEmbedding(T.m)
+    coeffs = {tuple(emb.apply(j + 1, i) for j, i in enumerate(t)): c
+              for t, c in T.coeffs.items()}
+    return MultilinearForm.build(T.m, (T.m * max(T.dims),) * T.m, coeffs, field=T.field)
+
+
+def _built_diagonal(T1):
+    coeffs = {}
+    for t, c in T1.coeffs.items():
+        alpha = MultiIndex.from_tuple(t)
+        coeffs[alpha] = coeffs.get(alpha, 0) + c
+    return HomogeneousPolynomial.build(T1.m, max(T1.dims), coeffs, field=T1.field)
+
+
+def _built_lift(P, m):
+    coeffs = {alpha.plus(1, m - P.m): c for alpha, c in P.coeffs.items()}
+    return HomogeneousPolynomial.build(m, max(P.n, 1), coeffs, field=P.field)
+
+
+def _same(a, b):
+    """Equal values, the same coefficient order and the same document."""
+    return a == b and list(a.coeffs.items()) == list(b.coeffs.items()) and dumps(a) == dumps(b)
+
+
+COEFFS = (st.integers(-3, 3) | st.floats(-4, 4, allow_nan=False)
+          | st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+          | st.sampled_from([2**70, complex(-0.0, 1.0), -0.0]))
+
+
+@st.composite
+def forms(draw):
+    """Forms with m <= 3 and dims <= 3, real or complex, whose diagonal (not
+    disjointified) collides and may cancel."""
+    m = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(m))
+    tuples = st.tuples(*(st.integers(1, d) for d in dims))
+    coeffs = draw(st.dictionaries(tuples, COEFFS, max_size=10))
+    field = "complex" if any(isinstance(c, complex) for c in coeffs.values()) else "real"
+    return MultilinearForm.build(m, dims, coeffs, field=field)
+
+
+@given(forms(), st.integers(1, 2))
+def test_trusted_constructions_match_the_validating_builds(T, boost):
+    T1, emb = disjointify(T)
+    assert emb == SlotEmbedding(T.m)
+    assert _same(T1, _built_disjointify(T))
+    P = diagonal_polynomial(T1)
+    assert _same(P, _built_diagonal(T1))
+    assert _same(diagonal_polynomial(T), _built_diagonal(T))
+    assert _same(lift_polynomial(P, P.m + boost), _built_lift(P, P.m + boost))
+    assert _same(lift_polynomial(diagonal_polynomial(T), T.m + boost),
+                 _built_lift(_built_diagonal(T), T.m + boost))
+
+
+def test_diagonal_drops_cancelled_and_rejects_overflowing_collisions():
+    T = MultilinearForm.build(2, (2, 2), {(1, 2): 1, (2, 1): -1, (1, 1): 2})
+    assert diagonal_polynomial(T).coeffs == {MultiIndex.from_pairs([(1, 2)]): 2}
+    wide = MultilinearForm.build(2, (2, 2), {(1, 2): 1e308, (2, 1): 1e308})
+    with pytest.raises(ParseError, match="non-finite"):
+        diagonal_polynomial(wide)
+
+
+def test_reconstruct_form_refuses_what_no_form_has():
+    P = diagonal_polynomial(disjointify(littlewood_s2())[0])
+    emb = SlotEmbedding(2)
+    assert reconstruct_form(P, emb, (2, 2)) == littlewood_s2()
+    with pytest.raises(ValueError, match="out of range"):
+        reconstruct_form(P, emb, (2, 1))
+    with pytest.raises(ValueError, match="slot dimensions"):
+        reconstruct_form(P, emb, (2,))
+    # three variables, two of slot 1: a degree mismatch, not an overwrite
+    Q = HomogeneousPolynomial.build(3, 4, {MultiIndex.from_pairs([(1, 1), (2, 1), (3, 1)]): 1})
+    with pytest.raises(ValueError, match="degree"):
+        reconstruct_form(Q, emb, (2, 2))
+
+
+def test_verify_lift_norm_chain_counts_every_wrong_norm(monkeypatch):
+    import bhforms.verify as verifymod
+
+    def lift_norm_chain():
+        out = []
+        verifymod._construction_checks(out)
+        return {o.name: o for o in out}["lift_norm_chain"]
+
+    assert lift_norm_chain().passed
+    real = verifymod.poly_lower_bound
+    def off_by_one(P, **kwargs):
+        r = real(P, **kwargs)
+        return dataclasses.replace(r, value=r.value + 1)
+
+    monkeypatch.setattr(verifymod, "poly_lower_bound", off_by_one)
+    check = lift_norm_chain()
+    assert not check.passed and check.computed == 50

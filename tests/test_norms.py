@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import itertools
 import json
@@ -6,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bhforms import (
@@ -32,7 +33,7 @@ from bhforms import (
     random_sparse,
     s_family,
 )
-from bhforms.norms import DEFAULT_BUDGET, _flip_scores, _layout
+from bhforms.norms import DEFAULT_BUDGET, _flip_scores, _layout, _poly_ascent
 from bhforms.verify import make_corpus
 
 
@@ -351,6 +352,13 @@ def test_float_form_beyond_float_range_is_a_value_error():
         exact_norm_real(T)
 
 
+@pytest.mark.parametrize("field, small", [("real", 1), ("real", 0.5), ("complex", 0.5j)])
+def test_ascent_beyond_float_range_is_a_value_error(field, small):
+    T = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): small}, field=field)
+    with pytest.raises(ValueError, match="float range"):
+        ascent_lower_bound(T, seed=0)
+
+
 # --- incremental flip scoring -------------------------------------------------
 
 
@@ -519,12 +527,15 @@ POLY_CASES = {
 @pytest.mark.parametrize("name", sorted(POLY_CASES))
 def test_poly_lower_bound_is_bit_identical_to_the_naive_ascent(name):
     """Same value, witness and work to the last bit (compared as JSON text)
-    as the naive ascent, for every seed and restart count."""
+    as the naive ascent, for every seed and restart count.  Real lifts are
+    normed exactly by ``poly_lower_bound``, so their ascent is called
+    directly."""
     P = POLY_CASES[name]()
     assert not P.is_multiaffine()
+    ascent = _poly_ascent if name.startswith("lift-") else poly_lower_bound
     for seed in (0, 3, 11):
         for restarts in (1, 4, 8):
-            got = poly_lower_bound(P, seed=seed, restarts=restarts)
+            got = ascent(P, seed=seed, restarts=restarts)
             want = _naive_poly_lower_bound(P, seed=seed, restarts=restarts)
             assert json.dumps(got.to_json()) == json.dumps(want.to_json())
 
@@ -542,6 +553,199 @@ def test_poly_lower_bound_has_no_per_update_rescan():
                    lambda self, var: pytest.fail("exponent_of called"))
         mp.setattr(normsmod, "_best_on_interval",
                    lambda coefs: calls.append(len(coefs)) or real(coefs))
-        r = poly_lower_bound(P, seed=3, restarts=4)
+        r = _poly_ascent(P, seed=3, restarts=4)
     assert calls and min(calls) >= 3  # only x_1, of degree >= 2
     assert len(calls) < r.work
+
+
+# --- exact norms of lifted polynomials through their form ---------------------
+
+
+@st.composite
+def lifts(draw, coeff):
+    """(T, L): a nonzero real form with m <= 3 and dims <= 3, and the lift of
+    its symmetrization by x_1 or x_1^2 when that is not multiaffine (a
+    multiaffine lift goes to vertex enumeration)."""
+    m = draw(st.integers(1, 3))
+    dims = tuple(draw(st.integers(1, 3)) for _ in range(m))
+    tuples = st.tuples(*(st.integers(1, d) for d in dims))
+    coeffs = draw(st.dictionaries(tuples, coeff, min_size=1, max_size=12))
+    T = MultilinearForm.build(m, dims, coeffs)
+    assume(T.coeffs)
+    P = diagonal_polynomial(disjointify(T)[0])
+    L = lift_polynomial(P, m + draw(st.integers(1, 2)))
+    assume(not L.is_multiaffine())
+    return T, L
+
+
+@st.composite
+def factored_polys(draw, coeff):
+    """x^beta * Q, not multiaffine: Q multiaffine of degree 1..3 in 6
+    variables and x^beta a monomial of degree 1..3, so the quotient by the
+    common monomial may be rainbow, not rainbow, squared or constant."""
+    d = draw(st.integers(1, 3))
+    monos = draw(st.lists(st.frozensets(st.integers(1, 6), min_size=d, max_size=d),
+                          min_size=1, max_size=8, unique=True))
+    beta = draw(st.dictionaries(st.integers(1, 6), st.integers(1, 2),
+                                min_size=1, max_size=3).filter(
+                                    lambda b: sum(b.values()) <= 3))
+    coeffs = {}
+    for vars_ in monos:
+        e = dict(beta)
+        for v in vars_:
+            e[v] = e.get(v, 0) + 1
+        coeffs[MultiIndex.from_pairs(e.items())] = draw(coeff)
+    L = HomogeneousPolynomial.build(d + sum(beta.values()), 6, coeffs)
+    assume(L.coeffs and not L.is_multiaffine())
+    return L
+
+
+def _outcome(f, *args, **kwargs):
+    """(exact, text): f's result as JSON text, or the type and message of
+    what it raised."""
+    try:
+        r = f(*args, **kwargs)
+    except Exception as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+    return r.exact, json.dumps(r.to_json())
+
+
+def _assert_witness(L, r):
+    v = abs(L.evaluate(r.witness[0]))
+    if L.is_integer():
+        assert isinstance(r.value, int) and v == r.value
+    else:
+        assert v == pytest.approx(r.value, rel=1e-9)
+
+
+def _assert_not_below(value, L):
+    """value >= the ascent's value on L, exactly where the ascent's floats
+    hold L's integers exactly.  The ascent may raise on a float L (a
+    subnormal leading coefficient overflows the root finder); then there is
+    nothing to compare."""
+    try:
+        ascent = _poly_ascent(L).value
+    except np.linalg.LinAlgError:
+        assert not L.is_integer()
+        return
+    if L.is_integer() and sum(abs(c) for c in L.coeffs.values()) < 2**53:
+        assert value >= ascent
+    else:
+        assert value >= ascent * (1 - 1e-12)
+
+
+@given(lifts(INTS) | lifts(FLOATS))
+def test_lift_is_normed_exactly_through_its_form(case):
+    """A lift has its form's exact norm and a witness that re-evaluates; it
+    is never below the ascent.  The path applies whenever no slot of T has
+    a single active coordinate, or all but one do; otherwise it either
+    applies or leaves the ascent's result to the bit."""
+    T, L = case
+    exact, text = _outcome(poly_lower_bound, L)
+    single = sum(len(a) == 1 for a in T.active_support())
+    assert exact or (single and T.m - single != 1)
+    if not exact:
+        assert text == _outcome(_poly_ascent, L)[1]
+        return
+    r = poly_lower_bound(L)
+    assert r.value == exact_norm_real(T).value
+    if not single:
+        assert r.work == exact_norm_real(T).work
+    _assert_witness(L, r)
+    _assert_not_below(r.value, L)
+
+
+@given(factored_polys(INTS) | factored_polys(FLOATS))
+def test_poly_exact_path_or_the_ascent_to_the_bit(L):
+    """On x^beta * Q the result is either exact (the vertex maximum, with a
+    re-evaluating witness) or the ascent's, to the bit."""
+    exact, text = _outcome(poly_lower_bound, L)
+    if not exact:
+        assert text == _outcome(_poly_ascent, L)[1]
+        return
+    r = poly_lower_bound(L)
+    brute = max(abs(L.evaluate(x)) for x in itertools.product((-1, 1), repeat=6))
+    if L.is_integer():
+        assert r.value == brute
+    else:
+        assert r.value == pytest.approx(brute, rel=1e-9)
+    _assert_witness(L, r)
+    _assert_not_below(r.value, L)
+
+
+@given(lifts(INTS) | lifts(FLOATS))
+def test_poly_fallbacks_past_the_budget_and_over_complex(case):
+    """Past the budget, and for a complex polynomial, the ascent's result to
+    the bit: no budget refusal reaches the caller."""
+    _, L = case
+    assert _outcome(poly_lower_bound, L, budget=0) == _outcome(_poly_ascent, L)
+    LC = HomogeneousPolynomial.build(
+        L.m, L.n, {a: complex(c, 0.5) for a, c in L.coeffs.items()}, field="complex")
+    assert (_outcome(poly_lower_bound, LC, restarts=2)
+            == _outcome(_poly_ascent, LC, restarts=2))
+
+
+FALLBACKS = {
+    # Q = 3 x_2 x_4 - x_3 x_5: x_2 and x_4 share a class mod 2
+    "not-rainbow": lambda: _poly(4, 5, [([(1, 2), (2, 1), (4, 1)], 3),
+                                        ([(1, 2), (3, 1), (5, 1)], -1)]),
+    # Q = 1.5 x_2^2 - 2 x_1 x_3
+    "squared": lambda: _poly(4, 3, [([(1, 2), (2, 2)], 1.5), ([(1, 3), (3, 1)], -2.0)]),
+    # Q = 5, of degree 0
+    "constant": lambda: _poly(3, 2, [([(1, 2), (2, 1)], 5)]),
+    # slot 2 of the form has one active coordinate, x_2, a factor of every
+    # term: Q = 2 x_1 x_3 - x_4 x_6, where x_1 and x_3 share a class mod 2
+    "lift-of-a-one-coordinate-slot": lambda: lift_polynomial(diagonal_polynomial(
+        disjointify(MultilinearForm.build(3, (2, 1, 2), {(1, 1, 1): 2, (2, 1, 2): -1}))[0]
+    ), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACKS))
+def test_poly_fallback_examples_are_the_ascent(name):
+    L = FALLBACKS[name]()
+    assert not L.is_multiaffine()
+    outcome = _outcome(poly_lower_bound, L, seed=2)
+    assert outcome == _outcome(_poly_ascent, L, seed=2)
+    assert outcome[0] is False
+
+
+def test_poly_beyond_float_range():
+    """The exact path holds a 10^400 integer lift in Python ints; the ascent
+    on squared variables turns the float overflow into ValueError."""
+    big = 10**400
+    T = MultilinearForm.build(2, (2, 2), {(1, 1): big, (2, 2): 1})
+    L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), 3)
+    r = poly_lower_bound(L)
+    assert (r.value, r.exact) == (big + 1, True)
+    squared = _poly(2, 2, [([(1, 2)], big), ([(2, 2)], 1)])
+    with pytest.raises(ValueError, match="float range"):
+        poly_lower_bound(squared)
+
+
+def test_dense_lift_rises_to_the_exact_norm():
+    """A dense (5,5,5) +-1 lift where the ascent stops below the norm."""
+    T = random_sparse(3, (5, 5, 5), 1.0, seed=2)
+    L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), 5)
+    r = poly_lower_bound(L)
+    assert _poly_ascent(L).value == 39
+    assert (r.value, r.exact, r.work) == (43, True, 1024)
+    assert r.value == exact_norm_real(T).value
+    assert abs(L.evaluate(r.witness[0])) == 43
+
+
+@pytest.mark.parametrize("dist", ["pm1", "gaussian"])
+def test_poly_form_path_refuses_a_wrong_witness(monkeypatch, dist):
+    import bhforms.norms as normsmod
+
+    real = normsmod.exact_norm_real
+
+    def off_by_one(T, budget):
+        r = real(T, budget=budget)
+        return dataclasses.replace(r, value=r.value + 1)
+
+    monkeypatch.setattr(normsmod, "exact_norm_real", off_by_one)
+    T = random_sparse(2, (3, 3), 1.0, coeff_dist=dist, seed=1)
+    L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), 3)
+    with pytest.raises(RuntimeError, match="witness"):
+        poly_lower_bound(L)
