@@ -93,7 +93,7 @@ def _norm(args) -> int:
         seed = args.seed if args.seed is not None else 0
         if args.method == "ascent" and args.seed is None:
             raise UsageError("--seed is required for --method ascent")
-        result = norms.poly_lower_bound(obj, seed=seed, restarts=args.restarts)
+        result = norms.poly_lower_bound(obj, seed, args.restarts, budget=args.budget)
     _print_json(result.to_json())
     return 0
 

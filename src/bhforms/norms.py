@@ -31,12 +31,12 @@ every partial sum and every value, so no intermediate can wrap.  Larger
 integer forms run the same kernel on Python ints (``dtype=object``): slower,
 still exact.  Forms with any float coefficient use float64.
 
-Polynomials reach this kernel through forms.  A real multiaffine polynomial
-is normed by vertex enumeration.  Another real polynomial P = x^beta * Q,
-with x^beta the monomial common to all its terms, has ||P|| = ||Q||; when Q
-is multiaffine and uses one variable of each class mod its degree (as a
-lift of a symmetrized form does, see ``poly_lower_bound``), Q is the
-diagonal of a form whose exact norm is ||P||.
+Polynomials reach this kernel through forms.  A real polynomial
+P = x^beta * Q, with x^beta the monomial common to all its terms, has
+||P|| = ||Q||; when Q is multiaffine (multiaffine P and lifts of
+symmetrized forms among them) its variables split into classes that no
+monomial uses twice, and Q is normed as a form over those classes (see
+``_poly_form_norm``).
 
 Complex norms are nonconvex over the torus.  For complex forms, complex
 polynomials and the remaining real polynomials only seeded lower bounds are
@@ -52,14 +52,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .constructions import SlotEmbedding, reconstruct_form
 from .core import (
     COMPLEX,
     REAL,
     BudgetExceededError,
     FieldMismatchError,
     HomogeneousPolynomial,
-    MultiIndex,
     MultilinearForm,
 )
 
@@ -482,47 +480,25 @@ def _form_ascent(
     return NormResult(best_val, best_x, False, None, work)
 
 
-def _poly_vertex_norm(
-    P: HomogeneousPolynomial, budget: int = BRUTE_BUDGET
-) -> NormResult:
-    """Exact norm of a real multiaffine polynomial by vertex enumeration over
-    the active variables."""
-    act = P.active_variables()
-    if 1 << len(act) > budget:
-        raise BudgetExceededError(
-            f"2^{len(act)} vertices exceed budget {budget}", required=1 << len(act)
-        )
-    terms = [
-        (tuple(v for v, _ in alpha.exponents), c) for alpha, c in P.coeffs.items()
-    ]
-    best = 0
-    best_signs = None
-    for signs in itertools.product((-1, 1), repeat=len(act)):
-        s = dict(zip(act, signs))
-        v = 0
-        for vars_, c in terms:
-            term = c
-            for var in vars_:
-                term *= s[var]
-            v += term
-        v = abs(v)
-        if v > best:
-            best = v
-            best_signs = s
-    w = [1] * P.n
-    if best_signs:
-        for var, sgn in best_signs.items():
-            w[var - 1] = sgn
-    return NormResult(best, (tuple(w),), True, None, 1 << len(act))
-
-
 def _best_on_interval(coefs: list) -> tuple:
     """Maximize |q(t)| over [-1,1] for q given by ascending power coefficients.
-    Candidates: endpoints and real critical points of q."""
+    Candidates: endpoints and real critical points of q.  A subnormal leading
+    coefficient of q' overflows its companion matrix; it is dropped, with the
+    roots beyond the float range it stands for, until the roots are found."""
     poly = np.polynomial.Polynomial(coefs)
     cands = [-1.0, 1.0]
     if poly.degree() >= 1:
-        for r in poly.deriv().roots():
+        d = poly.deriv()
+        with np.errstate(over="ignore"):
+            while True:
+                try:
+                    roots = d.roots()
+                    break
+                except np.linalg.LinAlgError:
+                    if not np.isfinite(d.coef).all():
+                        raise
+                    d = np.polynomial.Polynomial(d.coef[:-1])
+        for r in roots:
             if abs(r.imag) < 1e-12 and -1.0 <= r.real <= 1.0:
                 cands.append(float(r.real))
     best_t, best_v = 1.0, -1.0
@@ -534,54 +510,70 @@ def _best_on_interval(coefs: list) -> tuple:
 
 
 def _poly_form_norm(P: HomogeneousPolynomial, budget: int) -> NormResult | None:
-    """Exact norm of a real polynomial through a form, or None where that
-    path does not apply.
+    """Exact norm of a real polynomial P = x^beta * Q as a form, or None when
+    Q is not multiaffine or the form's vertex space exceeds ``budget``.
 
-    Let x^beta be the monomial common to every term (per variable the least
-    exponent) and Q = P / x^beta, of degree m'.  On the cube |x^beta| <= 1,
-    with equality at every vertex, so when Q is multiaffine ||P|| = ||Q||.
-    When moreover every monomial of Q uses one variable of each class
-    (v-1) mod m', Q is the diagonal of the form T that ``reconstruct_form``
-    rebuilds through ``SlotEmbedding(m')``, and ||Q|| = ||T||.  T's witness
-    is mapped back through the embedding, every other variable is +1, and
-    the witness is re-evaluated on P.  None when m' = 0, when
-    ``reconstruct_form`` refuses Q (a variable of Q squared, or a monomial
-    missing a class) or when T's vertex space exceeds ``budget``.
+    x^beta is the monomial common to every term (per variable the least
+    exponent), so |P| = |Q| at every vertex and ||P|| = ||Q|| for a
+    multiaffine Q of degree m'.  Q's variables, in increasing order, join
+    class (v-1) mod m' or, when a variable sharing a monomial with v holds
+    it, the least class >= m' that none of those holds.  Each class is a
+    slot of a form T: v sits at coordinate (v-1) div m' + 1 in a class below
+    m' and at its rank of arrival in the others, and a last coordinate
+    stands for "no variable of this class".  A term c x^beta x_S is c at the
+    tuple picking, per slot, its variable in S or the last coordinate.  With
+    s_v = u_v * (the last sign of v's slot), |T(u)| = |P(s)| and every s
+    arises, so ||T|| = ||P||.  When every monomial of Q has one variable of
+    each class mod m', no last coordinate is used and T is the form
+    ``reconstruct_form`` rebuilds; a single monomial (m' = 0) is c u.
+    T's witness is mapped back to s, every other variable +1, and
+    re-evaluated on P.
     """
-    beta = None
+    beta = dict(next(iter(P.coeffs)).exponents)
     for alpha in P.coeffs:
         e = dict(alpha.exponents)
-        if beta is None:
-            beta = e
-        for v in list(beta):
-            if v in e:
-                beta[v] = min(beta[v], e[v])
-            else:
-                del beta[v]
+        beta = {v: min(b, e[v]) for v, b in beta.items() if v in e}
     m = P.m - sum(beta.values())
-    if m == 0:
-        return None
-    cut = beta.get
-    coeffs = {
-        MultiIndex(tuple((v, e - cut(v, 0)) for v, e in a.exponents if e != cut(v))): c
-        for a, c in P.coeffs.items()
-    }
-    Q = HomogeneousPolynomial(m=m, n=P.n, field=P.field, coeffs=coeffs)
-    emb = SlotEmbedding(m)
-    try:
-        T = reconstruct_form(Q, emb, ((P.n - 1) // m + 1,) * m)
-    except ValueError:
-        return None
+    terms = [([v for v, e in a.exponents if e > beta.get(v, 0)], c)
+             for a, c in P.coeffs.items()]
+    if any(len(vs) < m for vs, _ in terms):
+        return None  # a variable of Q is squared
+
+    near = {}
+    for vs, _ in terms:
+        for v in vs:
+            near.setdefault(v, set()).update(vs)
+    cls = {}
+    for v in sorted(near):
+        held = {cls[u] for u in near[v] if u in cls}
+        c = (v - 1) % m
+        if c in held:
+            c = min(set(range(m, m + len(held) + 1)) - held)
+        cls[v] = c
+    slot = {c: j for j, c in enumerate(sorted(set(cls.values())))}
+    # dims[j] - 1 is the last coordinate placed in slot j so far
+    place, dims = {}, [1] * max(1, len(slot))
+    for v, c in cls.items():
+        j = slot[c]
+        i = (v - 1) // m + 1 if c < m else dims[j]
+        place[v] = (j, i)
+        dims[j] = i + 1
+    coeffs = {}
+    for vs, c in terms:
+        t = list(dims)
+        for j, i in map(place.get, vs):
+            t[j] = i
+        coeffs[tuple(t)] = c
+    # P is validated: its coefficients are nonzero reals
+    T = MultilinearForm(m=len(dims), dims=tuple(dims), field=REAL, coeffs=coeffs)
     try:
         r = exact_norm_real(T, budget=budget)
     except BudgetExceededError:
         return None
+
     x = [1] * P.n
-    for slot, w in enumerate(r.witness, 1):
-        for j, s in enumerate(w, 1):
-            v = emb.apply(slot, j)
-            if v <= P.n:
-                x[v - 1] = s
+    for v, (j, i) in place.items():
+        x[v - 1] = r.witness[j][i - 1] * r.witness[j][-1]
     v = abs(P.evaluate(x))
     if isinstance(r.value, int):
         ok = v == r.value
@@ -597,26 +589,24 @@ def poly_lower_bound(
     seed: int = 0,
     restarts: int = 8,
     max_rounds: int = 60,
-    budget: int = BRUTE_BUDGET,
+    budget: int = DEFAULT_BUDGET,
 ) -> NormResult:
     """Lower bound on sup |P| over the unit ball of l_inf^n; exact (the flag
     set) for the real polynomials below.
 
-    Real multiaffine polynomials delegate to exact vertex enumeration.  Other
-    real polynomials whose quotient by their common monomial is a rainbow
-    multiaffine polynomial are normed exactly through their form by
-    ``exact_norm_real``; see ``_poly_form_norm``.  These include the lift of
-    a symmetrized form whose slots each have two or more active coordinates.
-    ``budget`` caps either vertex space.
-    Complex polynomials, the other real ones and those past the budget get
-    the coordinate ascent of ``_poly_ascent``.  The ascent computes in floats,
-    so a coefficient beyond the float range raises ``ValueError`` there.
+    A real polynomial whose quotient by its common monomial is multiaffine
+    is normed exactly as a form by ``exact_norm_real`` (see
+    ``_poly_form_norm``): multiaffine polynomials, single monomials and the
+    lifts of symmetrized forms among them.  ``budget`` caps that form's
+    vertex space.  Complex polynomials, the other real ones and those past
+    the budget get the coordinate ascent of ``_poly_ascent``.  The ascent
+    computes in floats, so a coefficient beyond the float range raises
+    ``ValueError`` there; the exact path raises it for a float polynomial
+    holding such an int.
     """
     if not P.coeffs:
         return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
     if P.field == REAL:
-        if P.is_multiaffine():
-            return _poly_vertex_norm(P, budget=budget)
         result = _poly_form_norm(P, budget)
         if result is not None:
             return result

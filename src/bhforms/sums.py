@@ -208,21 +208,21 @@ def ratio_report(
     restarts: int = 8,
     budget: int | None = None,
 ) -> RatioReport:
-    """Assemble the l_p sum, the norm, and their ratio for a form or a
-    homogeneous polynomial."""
+    """Assemble the l_p sum, the norm (``budget`` capping an exact one), and
+    their ratio for a form or a homogeneous polynomial."""
     if p is None:
         p = restriction.default_exponent(obj.m)
     s = restriction_sum(obj, restriction, p)
+    kwargs = {"budget": budget} if budget else {}
     if isinstance(obj, MultilinearForm):
         if norm_method == "exact":
-            kwargs = {"budget": budget} if budget else {}
             norm = exact_norm_real(obj, **kwargs)
         elif norm_method == "ascent":
             norm = ascent_lower_bound(obj, seed=seed, restarts=restarts)
         else:
             raise ValueError(f"unknown norm method {norm_method!r}")
     else:
-        norm = poly_lower_bound(obj, seed=seed, restarts=restarts)
+        norm = poly_lower_bound(obj, seed=seed, restarts=restarts, **kwargs)
     if norm.value == 0:
         raise ValueError("zero norm: ratio undefined")
     return RatioReport(p=p, sum=s, norm=norm, ratio=s / norm.value, restriction=restriction)

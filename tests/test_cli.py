@@ -212,6 +212,39 @@ def test_poly_ascent_beyond_float_range_exit_2(tmp_path):
     assert err.startswith("error: ") and "float range" in err
 
 
+def test_poly_with_an_int_beyond_float_range_next_to_a_float_exit_2(tmp_path):
+    """A multiaffine float polynomial holding 10^400: refused like a float
+    form, with no traceback."""
+    path = tmp_path / "wide-multiaffine.json"
+    path.write_text('{"kind":"poly","m":2,"n":4,"field":"real","coeffs":['
+                    '{"alpha":[[1,1],[2,1]],"re":1%s},'
+                    '{"alpha":[[3,1],[4,1]],"re":0.5}]}' % ("0" * 400))
+    code, out, err = invoke(["norm", "--in", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "float range" in err
+
+
+def test_budget_reaches_polynomial_documents(tmp_path):
+    """Past --budget a lift gets the seeded ascent, in norm and in ratio;
+    within it, the exact norm."""
+    form, sym, lift = (str(tmp_path / f"{k}.json") for k in "fpl")
+    for argv in (["gen", "--family", "random", "--m", "3", "--dims", "3,3,3",
+                  "--density", "0.7", "--seed", "1", "--out", form],
+                 ["construct", "symmetrize", "--in", form, "--out", sym],
+                 ["construct", "lift", "--in", sym, "--m", "5", "--out", lift]):
+        assert invoke(argv)[0] == 0
+    code, out, _ = invoke(["norm", "--in", lift])
+    exact = json.loads(out)
+    assert code == 0 and exact["exact"] is True and exact["work"] > 1
+    code, out, _ = invoke(["norm", "--in", lift, "--budget", "1"])
+    ascent = json.loads(out)
+    assert code == 0 and ascent["exact"] is False
+    assert ascent["value"] <= exact["value"]
+    code, out, _ = invoke(["ratio", "--in", lift, "--budget", "1"])
+    assert code == 0 and json.loads(out)["norm"] == ascent
+
+
 def _fresh(argv):
     """``invoke`` with a parser built for this call alone."""
     cli._parser.cache_clear()

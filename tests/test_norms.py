@@ -426,12 +426,10 @@ def _naive_poly_lower_bound(P, seed=0, restarts=8, max_rounds=60):
     """Reference: the coordinate ascent of ``poly_lower_bound`` written out
     naively, rescanning every monomial for the degree and each exponent of
     the variable at every update."""
-    from bhforms.norms import NormResult, _best_on_interval, _poly_vertex_norm
+    from bhforms.norms import NormResult, _best_on_interval
 
     if not P.coeffs:
         return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
-    if P.field == "real" and P.is_multiaffine():
-        return _poly_vertex_norm(P)
     act = P.active_variables()
     complex_field = P.field == "complex"
     best_val, best_x, work = -1.0, None, 0
@@ -527,12 +525,14 @@ POLY_CASES = {
 @pytest.mark.parametrize("name", sorted(POLY_CASES))
 def test_poly_lower_bound_is_bit_identical_to_the_naive_ascent(name):
     """Same value, witness and work to the last bit (compared as JSON text)
-    as the naive ascent, for every seed and restart count.  Real lifts are
-    normed exactly by ``poly_lower_bound``, so their ascent is called
-    directly."""
+    as the naive ascent, for every seed and restart count.  Real lifts and
+    single monomials are normed exactly by ``poly_lower_bound``, so their
+    ascent is called directly."""
     P = POLY_CASES[name]()
     assert not P.is_multiaffine()
-    ascent = _poly_ascent if name.startswith("lift-") else poly_lower_bound
+    exact = name.startswith(("lift-", "power-"))
+    ascent = _poly_ascent if exact else poly_lower_bound
+    assert poly_lower_bound(P).exact is exact
     for seed in (0, 3, 11):
         for restarts in (1, 4, 8):
             got = ascent(P, seed=seed, restarts=restarts)
@@ -564,8 +564,8 @@ def test_poly_lower_bound_has_no_per_update_rescan():
 @st.composite
 def lifts(draw, coeff):
     """(T, L): a nonzero real form with m <= 3 and dims <= 3, and the lift of
-    its symmetrization by x_1 or x_1^2 when that is not multiaffine (a
-    multiaffine lift goes to vertex enumeration)."""
+    its symmetrization by x_1 or x_1^2 when that is not multiaffine
+    (``factored_polys`` draws multiaffine polynomials)."""
     m = draw(st.integers(1, 3))
     dims = tuple(draw(st.integers(1, 3)) for _ in range(m))
     tuples = st.tuples(*(st.integers(1, d) for d in dims))
@@ -580,14 +580,15 @@ def lifts(draw, coeff):
 
 @st.composite
 def factored_polys(draw, coeff):
-    """x^beta * Q, not multiaffine: Q multiaffine of degree 1..3 in 6
-    variables and x^beta a monomial of degree 1..3, so the quotient by the
-    common monomial may be rainbow, not rainbow, squared or constant."""
+    """x^beta * Q: Q multiaffine of degree 1..3 in 6 variables and x^beta a
+    monomial of degree 0..3, so the polynomial may be multiaffine and the
+    quotient by the common monomial rainbow, not rainbow, squared or
+    constant."""
     d = draw(st.integers(1, 3))
     monos = draw(st.lists(st.frozensets(st.integers(1, 6), min_size=d, max_size=d),
                           min_size=1, max_size=8, unique=True))
     beta = draw(st.dictionaries(st.integers(1, 6), st.integers(1, 2),
-                                min_size=1, max_size=3).filter(
+                                max_size=3).filter(
                                     lambda b: sum(b.values()) <= 3))
     coeffs = {}
     for vars_ in monos:
@@ -596,7 +597,7 @@ def factored_polys(draw, coeff):
             e[v] = e.get(v, 0) + 1
         coeffs[MultiIndex.from_pairs(e.items())] = draw(coeff)
     L = HomogeneousPolynomial.build(d + sum(beta.values()), 6, coeffs)
-    assume(L.coeffs and not L.is_multiaffine())
+    assume(L.coeffs)
     return L
 
 
@@ -620,14 +621,8 @@ def _assert_witness(L, r):
 
 def _assert_not_below(value, L):
     """value >= the ascent's value on L, exactly where the ascent's floats
-    hold L's integers exactly.  The ascent may raise on a float L (a
-    subnormal leading coefficient overflows the root finder); then there is
-    nothing to compare."""
-    try:
-        ascent = _poly_ascent(L).value
-    except np.linalg.LinAlgError:
-        assert not L.is_integer()
-        return
+    hold L's integers exactly."""
+    ascent = _poly_ascent(L).value
     if L.is_integer() and sum(abs(c) for c in L.coeffs.values()) < 2**53:
         assert value >= ascent
     else:
@@ -636,21 +631,20 @@ def _assert_not_below(value, L):
 
 @given(lifts(INTS) | lifts(FLOATS))
 def test_lift_is_normed_exactly_through_its_form(case):
-    """A lift has its form's exact norm and a witness that re-evaluates; it
-    is never below the ascent.  The path applies whenever no slot of T has
-    a single active coordinate, or all but one do; otherwise it either
-    applies or leaves the ascent's result to the bit."""
+    """A lift always has its form's exact norm and a witness that
+    re-evaluates; it is never below the ascent.  When no slot of T has a
+    single active coordinate the lift's form is T itself, with T's work."""
     T, L = case
-    exact, text = _outcome(poly_lower_bound, L)
-    single = sum(len(a) == 1 for a in T.active_support())
-    assert exact or (single and T.m - single != 1)
-    if not exact:
-        assert text == _outcome(_poly_ascent, L)[1]
-        return
     r = poly_lower_bound(L)
-    assert r.value == exact_norm_real(T).value
-    if not single:
-        assert r.work == exact_norm_real(T).work
+    assert r.exact
+    want = exact_norm_real(T)
+    if not any(len(a) == 1 for a in T.active_support()):
+        assert (r.value, r.work) == (want.value, want.work)
+    elif T.is_integer():
+        assert r.value == want.value
+    else:
+        # another form, so another order of summation
+        assert r.value == pytest.approx(want.value, rel=1e-12)
     _assert_witness(L, r)
     _assert_not_below(r.value, L)
 
@@ -658,8 +652,10 @@ def test_lift_is_normed_exactly_through_its_form(case):
 @given(factored_polys(INTS) | factored_polys(FLOATS))
 def test_poly_exact_path_or_the_ascent_to_the_bit(L):
     """On x^beta * Q the result is either exact (the vertex maximum, with a
-    re-evaluating witness) or the ascent's, to the bit."""
+    re-evaluating witness) or the ascent's, to the bit; it is exact for
+    every multiaffine polynomial."""
     exact, text = _outcome(poly_lower_bound, L)
+    assert exact or not L.is_multiaffine()
     if not exact:
         assert text == _outcome(_poly_ascent, L)[1]
         return
@@ -703,35 +699,62 @@ FALLBACKS = {
 
 @pytest.mark.parametrize("name", sorted(FALLBACKS))
 def test_poly_fallback_examples_are_the_ascent(name):
+    """A squared variable of the quotient leaves the ascent's result to the
+    bit; the other examples are the +-1 vertex maximum, with a witness."""
     L = FALLBACKS[name]()
     assert not L.is_multiaffine()
     outcome = _outcome(poly_lower_bound, L, seed=2)
-    assert outcome == _outcome(_poly_ascent, L, seed=2)
-    assert outcome[0] is False
+    if name == "squared":
+        assert outcome == _outcome(_poly_ascent, L, seed=2)
+        assert outcome[0] is False
+        return
+    r = poly_lower_bound(L, seed=2)
+    brute = max(abs(L.evaluate(x)) for x in itertools.product((-1, 1), repeat=L.n))
+    assert (r.value, r.exact) == (brute, True)
+    _assert_witness(L, r)
 
 
 def test_poly_beyond_float_range():
-    """The exact path holds a 10^400 integer lift in Python ints; the ascent
-    on squared variables turns the float overflow into ValueError."""
+    """The exact path holds a 10^400 integer lift in Python ints and refuses
+    10^400 next to a float, as for forms; the ascent on squared variables
+    turns the float overflow into ValueError."""
     big = 10**400
     T = MultilinearForm.build(2, (2, 2), {(1, 1): big, (2, 2): 1})
     L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), 3)
     r = poly_lower_bound(L)
     assert (r.value, r.exact) == (big + 1, True)
+    mixed = _poly(2, 4, [([(1, 1), (2, 1)], big), ([(3, 1), (4, 1)], 0.5)])
+    with pytest.raises(ValueError, match="float range"):
+        poly_lower_bound(mixed)
     squared = _poly(2, 2, [([(1, 2)], big), ([(2, 2)], 1)])
     with pytest.raises(ValueError, match="float range"):
         poly_lower_bound(squared)
 
 
-def test_dense_lift_rises_to_the_exact_norm():
-    """A dense (5,5,5) +-1 lift where the ascent stops below the norm."""
-    T = random_sparse(3, (5, 5, 5), 1.0, seed=2)
-    L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), 5)
+def test_subnormal_leading_coefficient_keeps_the_ascent():
+    """x_1 of degree 3 with a subnormal leading coefficient: the derivative's
+    companion matrix would overflow.  The ascent drops that coefficient for
+    the critical points, with no overflow warning, and values stay |q(t)| of
+    the whole polynomial."""
+    L = _poly(3, 2, [([(1, 3)], 2.2e-311), ([(1, 1), (2, 2)], 1.0)])
     r = poly_lower_bound(L)
+    assert not r.exact
+    assert r.value == pytest.approx(1.0, rel=1e-12)
+    assert abs(L.evaluate(r.witness[0])) == pytest.approx(r.value, rel=1e-9)
+
+
+def test_dense_lift_rises_to_the_exact_norm():
+    """A dense (5,5,5) +-1 lift where the ascent stops below the norm, and
+    its symmetrization, normed as T: T's vertex space, not 2^15."""
+    T = random_sparse(3, (5, 5, 5), 1.0, seed=2)
+    P = diagonal_polynomial(disjointify(T)[0])
+    L = lift_polynomial(P, 5)
     assert _poly_ascent(L).value == 39
-    assert (r.value, r.exact, r.work) == (43, True, 1024)
-    assert r.value == exact_norm_real(T).value
-    assert abs(L.evaluate(r.witness[0])) == 43
+    assert exact_norm_real(T).value == 43
+    for Q in (L, P):
+        r = poly_lower_bound(Q)
+        assert (r.value, r.exact, r.work) == (43, True, 1024)
+        assert abs(Q.evaluate(r.witness[0])) == 43
 
 
 @pytest.mark.parametrize("dist", ["pm1", "gaussian"])
