@@ -196,10 +196,14 @@ class _Layout(NamedTuple):
     C: np.ndarray
 
 
+def _eliminated(active: list) -> int:
+    """The slot eliminated in closed form: the largest active support, first."""
+    return max(range(len(active)), key=lambda j: (len(active[j]), -j))
+
+
 def _layout(T: MultilinearForm, budget: int) -> _Layout | None:
     """The enumeration layout of a real form, or None for the zero form.
 
-    k is the slot with the largest active support (the lowest such index).
     The dtype is int64 for integer forms with sum |c| < 2^63 (that sum bounds
     every partial sum, so nothing can wrap), Python ints (``object``) for
     larger integer forms and float64 otherwise.
@@ -212,7 +216,7 @@ def _layout(T: MultilinearForm, budget: int) -> _Layout | None:
         return None
 
     active = T.active_support()
-    k = max(range(T.m), key=lambda j: (len(active[j]), -j))
+    k = _eliminated(active)
     others = [j for j in range(T.m) if j != k]
     counts = [len(active[j]) for j in others]
     assignments = 1
@@ -511,7 +515,7 @@ def _best_on_interval(coefs: list) -> tuple:
 
 def _poly_form_norm(P: HomogeneousPolynomial, budget: int) -> NormResult | None:
     """Exact norm of a real polynomial P = x^beta * Q as a form, or None when
-    Q is not multiaffine or the form's vertex space exceeds ``budget``.
+    Q is not multiaffine or the enumeration exceeds ``budget``.
 
     x^beta is the monomial common to every term (per variable the least
     exponent), so |P| = |Q| at every vertex and ||P|| = ||Q|| for a
@@ -527,7 +531,8 @@ def _poly_form_norm(P: HomogeneousPolynomial, budget: int) -> NormResult | None:
     each class mod m', no last coordinate is used and T is the form
     ``reconstruct_form`` rebuilds; a single monomial (m' = 0) is c u.
     T's witness is mapped back to s, every other variable +1, and
-    re-evaluated on P.
+    re-evaluated on P.  ``work`` (capped by ``budget``) is T's vertex space
+    without the last coordinates, which only flip whole slots: at most 2^n.
     """
     beta = dict(next(iter(P.coeffs)).exponents)
     for alpha in P.coeffs:
@@ -566,8 +571,12 @@ def _poly_form_norm(P: HomogeneousPolynomial, budget: int) -> NormResult | None:
         coeffs[tuple(t)] = c
     # P is validated: its coefficients are nonzero reals
     T = MultilinearForm(m=len(dims), dims=tuple(dims), field=REAL, coeffs=coeffs)
+    # budget and work count the enumerated slots' variables, not last signs
+    active = T.active_support()
+    k = _eliminated(active)
+    extra = sum(dims[j] in active[j] for j in range(len(dims)) if j != k)
     try:
-        r = exact_norm_real(T, budget=budget)
+        r = exact_norm_real(T, budget=budget << extra)
     except BudgetExceededError:
         return None
 
@@ -581,7 +590,7 @@ def _poly_form_norm(P: HomogeneousPolynomial, budget: int) -> NormResult | None:
         ok = abs(v - r.value) <= REL_TOL * max(1.0, v)
     if not ok:
         raise RuntimeError(f"the witness gives {v}, the form's norm is {r.value}")
-    return NormResult(r.value, (tuple(x),), True, None, r.work)
+    return NormResult(r.value, (tuple(x),), True, None, r.work >> extra)
 
 
 def poly_lower_bound(
@@ -597,9 +606,9 @@ def poly_lower_bound(
     A real polynomial whose quotient by its common monomial is multiaffine
     is normed exactly as a form by ``exact_norm_real`` (see
     ``_poly_form_norm``): multiaffine polynomials, single monomials and the
-    lifts of symmetrized forms among them.  ``budget`` caps that form's
-    vertex space.  Complex polynomials, the other real ones and those past
-    the budget get the coordinate ascent of ``_poly_ascent``.  The ascent
+    lifts of symmetrized forms among them.  ``budget`` caps that path's
+    ``work``.  Complex polynomials, the other real ones and those past the
+    budget get the coordinate ascent of ``_poly_ascent``.  The ascent
     computes in floats, so a coefficient beyond the float range raises
     ``ValueError`` there; the exact path raises it for a float polynomial
     holding such an int.

@@ -633,14 +633,18 @@ def _assert_not_below(value, L):
 def test_lift_is_normed_exactly_through_its_form(case):
     """A lift always has its form's exact norm and a witness that
     re-evaluates; it is never below the ascent.  When no slot of T has a
-    single active coordinate the lift's form is T itself, with T's work."""
+    single active coordinate the lift's form is T itself, with T's work.
+    The value is T's to the bit for integer T and when at most one slot of T
+    has two or more active coordinates (the quotient is linear or constant,
+    a one-slot form)."""
     T, L = case
     r = poly_lower_bound(L)
     assert r.exact
     want = exact_norm_real(T)
-    if not any(len(a) == 1 for a in T.active_support()):
-        assert (r.value, r.work) == (want.value, want.work)
-    elif T.is_integer():
+    single = sum(len(a) == 1 for a in T.active_support())
+    if not single:
+        assert r.work == want.work
+    if T.is_integer() or T.m - single <= 1:
         assert r.value == want.value
     else:
         # another form, so another order of summation
@@ -755,6 +759,25 @@ def test_dense_lift_rises_to_the_exact_norm():
         r = poly_lower_bound(Q)
         assert (r.value, r.exact, r.work) == (43, True, 1024)
         assert abs(Q.evaluate(r.witness[0])) == 43
+
+
+def test_complete_quadratic_is_exact_within_the_default_budget():
+    """All 91 products x_i x_j on 14 variables: no two variables share a
+    class, so each of the 14 slots has a variable and a "no variable"
+    coordinate.  The budget counts P's 13 enumerated variables, not T's 26
+    coordinates."""
+    n = 14
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    cs = [(-1, 1, 2, -3)[(3 * i + 5 * j) % 4] for i, j in pairs]
+    P = _poly(2, n, [([(i, 1), (j, 1)], c) for (i, j), c in zip(pairs, cs)])
+    X = np.array(list(itertools.product((-1, 1), repeat=n)))
+    I, J = (np.array(a) - 1 for a in zip(*pairs))
+    brute = int(np.abs((X[:, I] * X[:, J]) @ np.array(cs)).max())
+    r = poly_lower_bound(P)
+    assert (r.value, r.exact, r.work) == (brute, True, 2**13)
+    assert abs(P.evaluate(r.witness[0])) == brute
+    assert poly_lower_bound(P, budget=2**13).exact
+    assert not poly_lower_bound(P, budget=2**12).exact
 
 
 @pytest.mark.parametrize("dist", ["pm1", "gaussian"])
