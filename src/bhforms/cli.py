@@ -23,7 +23,7 @@ def _int_list(value: str) -> list[int]:
     return [int(v) for v in value.split(",")]
 
 
-def _restriction(args, for_poly=False) -> sums.Restriction:
+def _restriction(args) -> sums.Restriction:
     given = [
         name
         for name, val in (
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--block", type=str)
     r.add_argument("--norm", choices=["exact", "ascent"], default="exact")
     r.add_argument("--seed", type=int)
-    r.add_argument("--budget", type=int)
+    r.add_argument("--budget", type=int, default=norms.DEFAULT_BUDGET)
     r.set_defaults(func=_ratio)
 
     c = sub.add_parser("construct", help="structural transforms")

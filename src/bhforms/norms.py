@@ -7,7 +7,8 @@ closed form: once the other m-1 slots carry fixed signs, the form is a linear
 functional in the remaining slot and its maximum over the cube is the l_1 norm
 of that functional's coefficients.
 
-The enumeration of the other slots' signs rests on three facts.
+The enumeration of the other slots' signs (``_sweep``, which also scores
+the search's sign flips) rests on three facts.
 
 - Symmetry.  Negating every sign of one enumerated slot negates the induced
   functional and leaves its l_1 norm unchanged.  Of two such twins the one
@@ -29,7 +30,9 @@ The enumeration of the other slots' signs rests on three facts.
 Integer forms are enumerated in int64 when sum |c| < 2^63.  That sum bounds
 every partial sum and every value, so no intermediate can wrap.  Larger
 integer forms run the same kernel on Python ints (``dtype=object``): slower,
-still exact.  Forms with any float coefficient use float64.
+still exact.  Forms with any float coefficient use float64; every partial
+sum is a value of the form in the unit ball, so none leaves the float range
+unless the norm does (``ValueError``).
 
 Polynomials reach this kernel through forms.  A real polynomial
 P = x^beta * Q, with x^beta the monomial common to all its terms, has
@@ -68,12 +71,6 @@ BRUTE_BUDGET = 1 << 20
 _CHUNK_CELLS = 1 << 16
 
 REL_TOL = 1e-9
-
-
-# popcount parity of every 16-bit integer, built by doubling
-_PARITY16 = np.zeros(1, dtype=np.uint8)
-while len(_PARITY16) < 1 << 16:
-    _PARITY16 = np.concatenate([_PARITY16, _PARITY16 ^ 1])
 
 
 @dataclass(frozen=True)
@@ -264,36 +261,19 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
 
     Integer forms give an exact ``int`` (int64 arithmetic when sum |c| <
     2^63, Python ints otherwise); other real forms a ``float``.  A float form
-    holding an int beyond the float range raises ``ValueError``.
+    holding an int beyond the float range, or whose norm is beyond it, raises
+    ``ValueError``.
     """
     layout = _layout(T, budget)
     if layout is None:
         return NormResult(0, _all_ones_witness(T), True, None, 0)
     active, k, others, counts, assignments, dtype, _, C = layout
+    best_idx, best_val, _ = _sweep(layout, 0)
 
-    if others:
-        best_idx, best_val = 0, None
-        X = C.reshape(counts[0], -1, 1)
-        for start, Y in _induced(X, counts, _CHUNK_CELLS):
-            vals = np.abs(Y, out=Y).sum(axis=0)
-            i = int(np.argmax(vals))
-            if best_val is None or vals[i] > best_val:
-                best_idx, best_val = start + i, vals[i]
-        work = assignments
-    else:
-        best_idx, best_val = 0, np.abs(C).sum()
-        work = 1
-
-    # decode the winning pattern: per slot the pinned -1, then a-1 bits with
-    # the slot's second coordinate most significant
-    slot_signs = {}
-    idx = best_idx
-    for j, a in zip(reversed(others), reversed(counts)):
-        r = idx & ((1 << (a - 1)) - 1)
-        idx >>= a - 1
-        bits = [(r >> (a - 2 - c)) & 1 for c in range(a - 1)]
-        slot_signs[j] = [-1] + [1 if bit else -1 for bit in bits]
-
+    slot_signs = {
+        j: [1 if best_idx & bit else -1 for bit in bits]
+        for j, bits in zip(others, _pattern_bits(counts))
+    }
     # closed-form signs for the eliminated slot from the induced functional
     g = C
     for j in others:
@@ -309,78 +289,87 @@ def exact_norm_real(T: MultilinearForm, budget: int = DEFAULT_BUDGET) -> NormRes
         witness.append(tuple(w))
 
     value = float(best_val) if dtype is np.float64 else int(best_val)
-    return NormResult(value, tuple(witness), True, k, work)
+    return NormResult(value, tuple(witness), True, k, assignments)
 
 
-def _flip_scores(L: _Layout, n: int):
-    """The norm of the form laid out in L, with C as it stands, and the norms
-    of the n forms that each flip the sign of one of its first n
-    coefficients (in ``T.coeffs`` order).
+def _pattern_bits(counts: list) -> list:
+    """Per enumerated slot, per coordinate, the bit of a pattern index that
+    holds its sign (set: +1).  Slots come most significant first, each with
+    coordinate 1 highest; coordinate 0 is pinned to -1 and has no bit (0)."""
+    out, low = [], 0
+    for a in reversed(counts):
+        out.append([0] + [1 << (low + a - 1 - q) for q in range(1, a)])
+        low += a - 1
+    return out[::-1]
 
-    A flip keeps the support, so it keeps the layout of ``exact_norm_real``:
-    the eliminated slot k, the enumerated patterns (the first sign of each
-    slot -1) and the numeric path.  Under pattern p it changes one coordinate
-    of the induced functional g_p, g_p[t_k] -> g_p[t_k] - 2 c_t mono_t[p]
-    with mono_t[p] = prod_{j != k} s_j[t_j], so the flipped form's norm is
+
+def _sweep(L: _Layout, n: int):
+    """One pass over the enumerated sign patterns of the form laid out in L,
+    with C as it stands.  Returns the lex-first maximizing pattern index, the
+    norm, and the norms of the n forms that each flip the sign of one of its
+    first n coefficients (in ``T.coeffs`` order).
+
+    The induced functionals g_p are streamed from C by ``_induced``.  A flip
+    keeps the support, so it keeps the layout: the eliminated slot k, the
+    patterns and the numeric path.  Under pattern p it changes one coordinate
+    of g_p, g_p[t_k] -> g_p[t_k] - 2 c_t mono_t[p] with mono_t[p] =
+    prod_{j != k} s_j[t_j], so the flipped form's norm is
 
         max_p  |g_p|_1 - |g_p[t_k]| + |g_p[t_k] - 2 c_t mono_t[p]|.
 
-    The functionals are streamed from C by ``_induced`` as in
-    ``exact_norm_real``, so the value is the one that kernel computes, and
-    the candidates are scored in blocks: no temporary holds more than
+    The candidates are scored in blocks: no temporary holds more than
     ``_CHUNK_CELLS`` cells (and at least one), whatever the vertex space.
     Integer scores are exact (in int64, g_p[t_k] - c_t mono_t[p] is a partial
     sum of the flipped form, so nothing can wrap); float scores agree with
-    ``exact_norm_real`` of the flipped form up to rounding.
+    ``exact_norm_real`` of the flipped form up to rounding.  A float beyond
+    the float range raises ``ValueError``: see the module docstring.
     """
     _, _, others, counts, _, dtype, index, C = L
     cap = _CHUNK_CELLS
-    rows = np.asarray(index[-1][:n], dtype=np.intp)
-    c = C[tuple(i[:n] for i in index)]
-    if len(others) % 2:
-        c = -c
-    # mono_t[p] = (-1)^(m-1) (-1)^popcount(p & mask_t): coordinate q >= 1 of
-    # a slot is +1 exactly when its bit in p is set, coordinate 0 is -1; so
-    # c_t mono_t[p] is cm[popcount parity, t]
-    cm = np.stack([c, -c])
-    masks = np.zeros(n, dtype=np.int64)
-    bits = 0
-    for j in reversed(range(len(others))):
-        q = np.asarray(index[j][:n], dtype=np.int64)
-        masks |= (q > 0).astype(np.int64) << (bits + counts[j] - 1 - q)
-        bits += counts[j] - 1
-
     if others:
         chunks = _induced(C.reshape(counts[0], -1, 1), counts, cap)
     else:
-        chunks = [(0, C.reshape(-1, 1))]
-    value = None
+        chunks = [(0, C.reshape(-1, 1).copy())]
+    if n:
+        rows = np.asarray(index[-1][:n], dtype=np.intp)
+        c = C[tuple(i[:n] for i in index)]
+        if len(others) % 2:
+            c = -c
+        # mono_t[p] = (-1)^(m-1) (-1)^popcount(p & mask_t): a coordinate is +1
+        # exactly when its bit in p is set, and coordinate 0 (no bit) is -1;
+        # so c_t mono_t[p] is cm[popcount parity, t]
+        cm = np.stack([c, -c])
+        masks = np.zeros(n, dtype=np.int64)
+        for j, bits in enumerate(_pattern_bits(counts)):
+            masks |= np.asarray(bits, dtype=np.int64)[index[j][:n]]
     scores = np.empty(n, dtype=dtype)
-    for start, Y in chunks:
-        w = Y.shape[1]
-        val = np.abs(Y).sum(axis=0)
-        top = val.max()
-        if value is None or top > value:
-            value = top
-        p = np.arange(start, start + w, dtype=np.int64)
-        nb = max(1, cap // w)
-        for i0 in range(0, n, nb):
-            t = np.arange(i0, min(n, i0 + nb))
-            x = masks[t, None] & p
-            for shift in (32, 16):
-                if bits > shift:
-                    x ^= x >> shift
-            x &= 0xFFFF
-            ct = cm[_PARITY16[x], t[:, None]]
-            g = Y[rows[t]]
-            d = g - ct
-            d -= ct
-            v = np.abs(d, out=d)
-            v -= np.abs(g, out=g)
-            v += val
-            top = v.max(axis=1)
-            scores[t] = top if start == 0 else np.maximum(scores[t], top)
-    return value, scores
+    best_idx, value = 0, None
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            for start, Y in chunks:
+                # the candidates read the signed Y, so only n = 0 takes abs in place
+                vals = np.abs(Y, out=None if n else Y).sum(axis=0)
+                i = int(np.argmax(vals))
+                if value is None or vals[i] > value:
+                    best_idx, value = start + i, vals[i]
+                if not n:
+                    continue
+                p = np.arange(start, start + Y.shape[1], dtype=np.int64)
+                nb = max(1, cap // len(p))
+                for i0 in range(0, n, nb):
+                    t = np.arange(i0, min(n, i0 + nb))
+                    ct = cm[np.bitwise_count(masks[t, None] & p) & 1, t[:, None]]
+                    g = Y[rows[t]]
+                    d = g - ct
+                    d -= ct
+                    v = np.abs(d, out=d)
+                    v -= np.abs(g, out=g)
+                    v += vals
+                    top = v.max(axis=1)
+                    scores[t] = top if start == 0 else np.maximum(scores[t], top)
+        except FloatingPointError:
+            raise ValueError("the norm is beyond the float range") from None
+    return best_idx, value, scores
 
 
 def brute_force_norm_real(T: MultilinearForm, budget: int = BRUTE_BUDGET):
@@ -420,30 +409,33 @@ def _induced_functional(T: MultilinearForm, x: list, j: int):
     return c
 
 
+def _finite(val):
+    """val, |value| at a point of the unit ball, if it is in the float range;
+    otherwise the norm is not, and ``ValueError`` is raised."""
+    if not math.isfinite(val):
+        raise ValueError("the norm is beyond the float range")
+    return val
+
+
 def ascent_lower_bound(
-    T: MultilinearForm,
-    seed: int = 0,
-    restarts: int = 8,
-    max_rounds: int = 100,
+    T: MultilinearForm, seed: int = 0, restarts: int = 8
 ) -> NormResult:
     """Alternating maximization: cycle through slots, replacing each argument
     by the exact maximizer of the induced linear functional (sign vector for
-    real scalars, conjugate phases for complex).  The value is nondecreasing;
-    the result is a certified lower bound, deterministic for a fixed seed.
-    The ascent computes in floats, so a coefficient beyond the float range
-    raises ``ValueError``."""
+    real scalars, conjugate phases for complex), for at most 100 rounds.  The
+    value is nondecreasing; the result is a certified lower bound,
+    deterministic for a fixed seed.  The ascent computes in floats, so a
+    coefficient or a value beyond the float range raises ``ValueError``."""
     if not T.coeffs:
         return NormResult(0, _all_ones_witness(T), False, None, 0)
     try:
-        return _form_ascent(T, seed, restarts, max_rounds)
+        return _form_ascent(T, seed, restarts)
     except OverflowError:
         # an int beyond the float range meets the ascent's floats
         raise ValueError("a coefficient is beyond the float range") from None
 
 
-def _form_ascent(
-    T: MultilinearForm, seed: int, restarts: int, max_rounds: int
-) -> NormResult:
+def _form_ascent(T: MultilinearForm, seed: int, restarts: int) -> NormResult:
     active = T.active_support()
     complex_field = T.field == COMPLEX
     children = np.random.SeedSequence(seed).spawn(restarts)
@@ -462,8 +454,8 @@ def _form_ascent(
                 else:
                     w[i - 1] = int(rng.integers(0, 2)) * 2 - 1
             x.append(w)
-        val = abs(T.evaluate(x))
-        for _ in range(max_rounds):
+        val = _finite(abs(T.evaluate(x)))
+        for _ in range(100):
             before = val
             for j in range(T.m):
                 c = _induced_functional(T, x, j)
@@ -474,7 +466,7 @@ def _form_ascent(
                         x[j][i - 1] = ci.conjugate() / mag if mag > 0 else 1
                     else:
                         x[j][i - 1] = -1 if ci < 0 else 1
-                val = sum(abs(c[i - 1]) for i in active[j])
+                val = _finite(sum(abs(c[i - 1]) for i in active[j]))
                 work += 1
             if val - before <= 1e-12 * max(1.0, abs(val)):
                 break
@@ -487,27 +479,28 @@ def _form_ascent(
 def _best_on_interval(coefs: list) -> tuple:
     """Maximize |q(t)| over [-1,1] for q given by ascending power coefficients.
     Candidates: endpoints and real critical points of q.  A subnormal leading
-    coefficient of q' overflows its companion matrix; it is dropped, with the
-    roots beyond the float range it stands for, until the roots are found."""
+    coefficient of q' overflows its companion matrix (under the ascent's
+    ``np.errstate``, silently); it is dropped, with the roots beyond the
+    float range it stands for, until the roots are found.  A value of q or a
+    coefficient of q' beyond the float range raises ``ValueError``."""
     poly = np.polynomial.Polynomial(coefs)
     cands = [-1.0, 1.0]
     if poly.degree() >= 1:
         d = poly.deriv()
-        with np.errstate(over="ignore"):
-            while True:
-                try:
-                    roots = d.roots()
-                    break
-                except np.linalg.LinAlgError:
-                    if not np.isfinite(d.coef).all():
-                        raise
-                    d = np.polynomial.Polynomial(d.coef[:-1])
+        while True:
+            try:
+                roots = d.roots()
+                break
+            except np.linalg.LinAlgError:
+                if not np.isfinite(d.coef).all():
+                    raise ValueError("q' is beyond the float range") from None
+                d = np.polynomial.Polynomial(d.coef[:-1])
         for r in roots:
             if abs(r.imag) < 1e-12 and -1.0 <= r.real <= 1.0:
                 cands.append(float(r.real))
     best_t, best_v = 1.0, -1.0
     for t in cands:
-        v = abs(poly(t))
+        v = _finite(abs(poly(t)))
         if v > best_v:
             best_v, best_t = v, t
     return best_t, best_v
@@ -597,7 +590,6 @@ def poly_lower_bound(
     P: HomogeneousPolynomial,
     seed: int = 0,
     restarts: int = 8,
-    max_rounds: int = 60,
     budget: int = DEFAULT_BUDGET,
 ) -> NormResult:
     """Lower bound on sup |P| over the unit ball of l_inf^n; exact (the flag
@@ -609,9 +601,9 @@ def poly_lower_bound(
     lifts of symmetrized forms among them.  ``budget`` caps that path's
     ``work``.  Complex polynomials, the other real ones and those past the
     budget get the coordinate ascent of ``_poly_ascent``.  The ascent
-    computes in floats, so a coefficient beyond the float range raises
-    ``ValueError`` there; the exact path raises it for a float polynomial
-    holding such an int.
+    computes in floats, so a coefficient or a value beyond the float range
+    raises ``ValueError`` there; the exact path raises it for a float
+    polynomial holding such an int, or whose norm is beyond the float range.
     """
     if not P.coeffs:
         return NormResult(0, (tuple(1 for _ in range(P.n)),), False, None, 0)
@@ -620,19 +612,22 @@ def poly_lower_bound(
         if result is not None:
             return result
     try:
-        return _poly_ascent(P, seed, restarts, max_rounds)
+        return _poly_ascent(P, seed, restarts)
     except OverflowError:
         raise ValueError("a coefficient is beyond the float range") from None
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _poly_ascent(
-    P: HomogeneousPolynomial, seed: int = 0, restarts: int = 8, max_rounds: int = 60
+    P: HomogeneousPolynomial, seed: int = 0, restarts: int = 8
 ) -> NormResult:
     """A seeded lower bound on sup |P| for a nonzero P by cyclic coordinate
-    ascent: each real coordinate update solves the univariate problem on
-    [-1,1] by derivative root isolation, each complex coordinate scans 16
-    phases on the unit circle and refines locally (by the maximum modulus
-    principle the per-coordinate optimum lies on the circle).
+    ascent, for at most 60 rounds: each real coordinate update solves the
+    univariate problem on [-1,1] by derivative root isolation, each complex
+    coordinate scans 16 phases on the unit circle and refines locally (by
+    the maximum modulus principle the per-coordinate optimum lies on the
+    circle).  numpy's float warnings are off; a value or coordinate
+    polynomial beyond the float range raises ``ValueError``.
 
     The ascent runs on a plan built once per call: per active variable its
     degree and, in ``P.coeffs`` order, each monomial's exponent of the
@@ -683,8 +678,8 @@ def _poly_ascent(
             else:
                 x[var - 1] = 2.0 * rng.random() - 1.0
         pw = [x[v - 1] ** e for v, e in pairs]
-        val = abs(P.evaluate(x))
-        for _ in range(max_rounds):
+        val = _finite(abs(P.evaluate(x)))
+        for _ in range(60):
             before = val
             for var, deg, terms in plan:
                 coefs = [zero] * (deg + 1)
@@ -708,13 +703,13 @@ def _poly_ascent(
                             if v > bv:
                                 bv, bz, theta = v, z, th
                         width /= 2
-                    t, val = bz, bv
+                    t, val = bz, _finite(bv)
                 elif deg == 1:
                     # _best_on_interval's endpoints, in its order and tie rule
                     c0, c1 = coefs
                     t, val = 1.0, -1.0
                     for u in (-1.0, 1.0):
-                        v = abs(c0 + c1 * u)
+                        v = _finite(abs(c0 + c1 * u))
                         if v > val:
                             t, val = u, v
                 else:

@@ -3,16 +3,17 @@ experiment.
 
 The search climbs by single coefficient sign flips.  A flip changes no |c|,
 so the restricted sum is computed once per restart, and it keeps the
-support and the enumeration layout, so one streamed pass over the induced
-functionals of the current coefficient tensor scores every flip of a sweep
-(``norms._flip_scores``), with no rebuild and no re-enumeration per
-candidate.  Contract: on integer forms each score is exactly the
-``exact_norm_real`` value of the flipped form, so the climb takes the same
-moves as one that rebuilds and re-norms every candidate; on float forms
-scores agree to rounding, and near-ties may resolve differently.  Every reported ratio uses ``exact_norm_real`` of the
-returned form, so it is a mathematically valid lower bound for the matching
-optimal constant; results are deterministic for a fixed seed (restart seeds
-come from SeedSequence.spawn).
+support and the enumeration layout, so every flip of a sweep is scored in
+the one streamed pass over the induced functionals of the current
+coefficient tensor that ``exact_norm_real`` makes (``norms._sweep``), with
+no rebuild and no re-enumeration per candidate.  Contract: on integer
+forms each score is exactly the ``exact_norm_real`` value of the flipped
+form, so the climb takes the same moves as one that rebuilds and re-norms
+every candidate; on float forms scores agree to rounding, and near-ties
+may resolve differently.  Every reported ratio uses ``exact_norm_real`` of
+the returned form, so it is a mathematically valid lower bound for the
+matching optimal constant; results are deterministic for a fixed seed
+(restart seeds come from SeedSequence.spawn).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .core import REAL, MultilinearForm
 from .generators import a_family, ksz_random, r_family, s_family
-from .norms import DEFAULT_BUDGET, _flip_scores, _layout, exact_norm_real
+from .norms import DEFAULT_BUDGET, _layout, _sweep, exact_norm_real
 from .sums import (
     FULL,
     RatioReport,
@@ -47,7 +48,6 @@ class SearchConfig:
     budget: int = 10_000
     restarts: int = 4
     seed: int = 0
-    norm_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.budget < self.restarts:
@@ -143,7 +143,7 @@ def maximize_ratio(
                 coeffs=dict(zip(positions, signs.tolist())),
             )
         s = restriction_sum(form, cfg.restriction, p)
-        layout = _layout(form, cfg.norm_budget)
+        layout = _layout(form, DEFAULT_BUDGET)
         if layout is None:
             raise ValueError("the zero form has no sign flips to climb")
         evals += 1
@@ -151,7 +151,7 @@ def maximize_ratio(
         keys = list(coeffs)
         while evals < cfg.budget:
             n = min(len(keys), cfg.budget - evals)
-            value, scores = _flip_scores(layout, n)
+            _, value, scores = _sweep(layout, n)
             ratio = s / value
             ratios = s / scores.astype(float)
             evals += n
@@ -163,7 +163,7 @@ def maximize_ratio(
         form = MultilinearForm(
             m=form.m, dims=form.dims, field=form.field, coeffs=coeffs
         )
-        norm = exact_norm_real(form, budget=cfg.norm_budget)
+        norm = exact_norm_real(form)
         ratio = s / norm.value
         if ratio > best_ratio:
             best_form, best_ratio, best_norm, best_sum = form, ratio, norm, s
@@ -224,13 +224,7 @@ def constant_table(
     )
 
 
-def ksz_scaling_experiment(
-    m: int,
-    ns,
-    samples: int,
-    seed: int,
-    norm_budget: int = DEFAULT_BUDGET,
-) -> ExperimentTable:
+def ksz_scaling_experiment(m: int, ns, samples: int, seed: int) -> ExperimentTable:
     """Draws random +-1 forms at each size n, computes exact norms, and
     reports the median and min of ||T|| / n^((m+1)/2) plus the least-squares
     slope of log2(median ||T||) against log2 n (theory: (m+1)/2)."""
@@ -247,7 +241,7 @@ def ksz_scaling_experiment(
             child = children[a * samples + b]
             form_seed = int(child.generate_state(1)[0])
             T = ksz_random(m, n, seed=form_seed)
-            norms.append(exact_norm_real(T, budget=norm_budget).value)
+            norms.append(exact_norm_real(T).value)
         scaled = [v / n ** ((m + 1) / 2.0) for v in norms]
         med = float(np.median(norms))
         medians.append(med)

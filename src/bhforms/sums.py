@@ -15,7 +15,13 @@ from .core import (
     bh_exponent,
     distinct_count,
 )
-from .norms import NormResult, ascent_lower_bound, exact_norm_real, poly_lower_bound
+from .norms import (
+    DEFAULT_BUDGET,
+    NormResult,
+    ascent_lower_bound,
+    exact_norm_real,
+    poly_lower_bound,
+)
 
 __all__ = [
     "Restriction",
@@ -69,7 +75,8 @@ FULL = Restriction("full")
 def lp_sum(coeffs, p: float) -> float:
     """(sum |c|^p)^(1/p), with the max magnitude factored out so small p and
     huge coefficient counts cannot overflow.  An int coefficient whose
-    magnitude, or sum, is beyond the float range raises ``ValueError``."""
+    magnitude is beyond the float range, or a sum beyond it, raises
+    ``ValueError``."""
     if p < 1:
         raise ValueError(f"exponent must be >= 1, got {p}")
     mags = [abs(c) for c in coeffs]
@@ -77,11 +84,13 @@ def lp_sum(coeffs, p: float) -> float:
     if mx == 0:
         return 0.0
     try:
-        total = sum((x / mx) ** p for x in mags)
-        return mx * total ** (1.0 / p)
+        value = mx * sum((x / mx) ** p for x in mags) ** (1.0 / p)
     except OverflowError:
         # an int beyond the float range: the sum has no float value
         raise ValueError("a coefficient is beyond the float range") from None
+    if not math.isfinite(value):
+        raise ValueError("the sum is beyond the float range")
+    return value
 
 
 def restricted_sum(T: MultilinearForm, M: int, p: float) -> float:
@@ -205,24 +214,22 @@ def ratio_report(
     restriction: Restriction = FULL,
     norm_method: str = "exact",
     seed: int = 0,
-    restarts: int = 8,
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> RatioReport:
     """Assemble the l_p sum, the norm (``budget`` capping an exact one), and
     their ratio for a form or a homogeneous polynomial."""
     if p is None:
         p = restriction.default_exponent(obj.m)
     s = restriction_sum(obj, restriction, p)
-    kwargs = {"budget": budget} if budget else {}
     if isinstance(obj, MultilinearForm):
         if norm_method == "exact":
-            norm = exact_norm_real(obj, **kwargs)
+            norm = exact_norm_real(obj, budget)
         elif norm_method == "ascent":
-            norm = ascent_lower_bound(obj, seed=seed, restarts=restarts)
+            norm = ascent_lower_bound(obj, seed=seed)
         else:
             raise ValueError(f"unknown norm method {norm_method!r}")
     else:
-        norm = poly_lower_bound(obj, seed=seed, restarts=restarts, **kwargs)
+        norm = poly_lower_bound(obj, seed=seed, budget=budget)
     if norm.value == 0:
         raise ValueError("zero norm: ratio undefined")
     return RatioReport(p=p, sum=s, norm=norm, ratio=s / norm.value, restriction=restriction)

@@ -130,9 +130,11 @@ def test_budget_refusal_exit_3(tmp_path):
     path = str(tmp_path / "k.json")
     invoke(["gen", "--family", "ksz", "--m", "2", "--n", "6", "--seed", "1",
             "--out", path])
-    code, _, err = invoke(["norm", "--in", path, "--budget", "8"])
-    assert code == 3
-    assert "budget" in err.lower()
+    for command in ("norm", "ratio"):
+        for budget in ("8", "0"):
+            code, _, err = invoke([command, "--in", path, "--budget", budget])
+            assert code == 3
+            assert "budget" in err.lower()
 
 
 def test_malformed_document_exit_2(tmp_path):
@@ -168,48 +170,67 @@ def test_non_finite_coefficient_exit_2(tmp_path, literal):
     assert "non-finite" in err
 
 
+WIDE_FORMS = [
+    # an int beyond the float range next to a float
+    '{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
+    '{"idx":[1,1],"re":1%s},{"idx":[2,2],"re":0.5}]}' % ("0" * 400),
+    # finite floats whose sums and norm are beyond the float range
+    '{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
+    '{"idx":[1,1],"re":1.7e308},{"idx":[2,1],"re":1.7e308},'
+    '{"idx":[1,2],"re":1.0}]}',
+]
+
+
+def _wide_float_forms(tmp_path):
+    paths = []
+    for i, text in enumerate(WIDE_FORMS):
+        paths.append(tmp_path / f"wide-{i}.json")
+        paths[-1].write_text(text)
+    return [str(p) for p in paths]
+
+
 def test_norm_of_float_form_beyond_float_range_exit_2(tmp_path):
-    path = tmp_path / "wide.json"
-    path.write_text('{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
-                    '{"idx":[1,1],"re":1%s},{"idx":[2,2],"re":0.5}]}' % ("0" * 400))
-    code, out, err = invoke(["norm", "--in", str(path)])
-    assert code == 2
-    assert out == ""
-    assert "float range" in err
-
-
-def _wide_float_form(tmp_path):
-    path = tmp_path / "wide.json"
-    path.write_text('{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
-                    '{"idx":[1,1],"re":1%s},{"idx":[2,2],"re":0.5}]}' % ("0" * 400))
-    return str(path)
+    for path in _wide_float_forms(tmp_path):
+        code, out, err = invoke(["norm", "--in", path])
+        assert code == 2
+        assert out == ""
+        assert "float range" in err
 
 
 @pytest.mark.parametrize("command", ["sum", "ratio"])
 def test_sum_of_float_form_beyond_float_range_exit_2(tmp_path, command):
-    code, out, err = invoke([command, "--in", _wide_float_form(tmp_path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "float range" in err
+    for path in _wide_float_forms(tmp_path):
+        for p in ("bh", "1"):
+            code, out, err = invoke([command, "--in", path, "--p", p])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "float range" in err
 
 
 def test_ascent_on_float_form_beyond_float_range_exit_2(tmp_path):
-    code, out, err = invoke(["norm", "--method", "ascent", "--seed", "0",
-                             "--in", _wide_float_form(tmp_path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "float range" in err
+    for path in _wide_float_forms(tmp_path):
+        code, out, err = invoke(["norm", "--method", "ascent", "--seed", "0",
+                                 "--in", path])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "float range" in err
 
 
 def test_poly_ascent_beyond_float_range_exit_2(tmp_path):
-    """Squared variables: the ascent's floats meet a 10^400 coefficient."""
+    """Squared variables: the ascent's floats meet a 10^400 coefficient, or
+    finite coefficients whose sums are beyond the float range."""
     path = tmp_path / "wide-poly.json"
-    path.write_text('{"kind":"poly","m":2,"n":2,"field":"real","coeffs":['
-                    '{"alpha":[[1,2]],"re":1%s},{"alpha":[[2,2]],"re":1}]}' % ("0" * 400))
-    code, out, err = invoke(["norm", "--in", str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "float range" in err
+    for coeffs in (
+        '{"alpha":[[1,2]],"re":1%s},{"alpha":[[2,2]],"re":1}' % ("0" * 400),
+        '{"alpha":[[1,2]],"re":1.7e308},{"alpha":[[1,1],[2,1]],"re":1.7e308},'
+        '{"alpha":[[2,2]],"re":1.7e308}',
+    ):
+        path.write_text('{"kind":"poly","m":2,"n":2,"field":"real","coeffs":[%s]}'
+                        % coeffs)
+        code, out, err = invoke(["norm", "--in", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "float range" in err
 
 
 def test_poly_with_an_int_beyond_float_range_next_to_a_float_exit_2(tmp_path):

@@ -33,7 +33,7 @@ from bhforms import (
     random_sparse,
     s_family,
 )
-from bhforms.norms import DEFAULT_BUDGET, _flip_scores, _layout, _poly_ascent
+from bhforms.norms import DEFAULT_BUDGET, _layout, _poly_ascent, _sweep
 from bhforms.verify import make_corpus
 
 
@@ -347,16 +347,22 @@ def test_json_round_trip_is_byte_stable(T):
 
 
 def test_float_form_beyond_float_range_is_a_value_error():
-    T = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): 0.5})
-    with pytest.raises(ValueError, match="float range"):
-        exact_norm_real(T)
+    """An int beyond the float range next to a float, and finite floats
+    whose norm is beyond it."""
+    for coeffs in ({(1, 1): 10**400, (2, 2): 0.5},
+                   {(1, 1): 1.7e308, (2, 1): 1.7e308, (1, 2): 1.0}):
+        T = MultilinearForm.build(2, (2, 2), coeffs)
+        with pytest.raises(ValueError, match="float range"):
+            exact_norm_real(T)
 
 
 @pytest.mark.parametrize("field, small", [("real", 1), ("real", 0.5), ("complex", 0.5j)])
 def test_ascent_beyond_float_range_is_a_value_error(field, small):
-    T = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): small}, field=field)
-    with pytest.raises(ValueError, match="float range"):
-        ascent_lower_bound(T, seed=0)
+    for coeffs in ({(1, 1): 10**400, (2, 2): small},
+                   {(1, 1): 1.7e308, (2, 1): 1.7e308, (1, 2): small}):
+        T = MultilinearForm.build(2, (2, 2), coeffs, field=field)
+        with pytest.raises(ValueError, match="float range"):
+            ascent_lower_bound(T, seed=0)
 
 
 # --- incremental flip scoring -------------------------------------------------
@@ -369,7 +375,8 @@ def _flipped(T, t):
 
 
 def _assert_scores(layout, T):
-    value, scores = _flip_scores(layout, len(T.coeffs))
+    best, value, scores = _sweep(layout, len(T.coeffs))
+    assert (best, value) == _sweep(layout, 0)[:2]
     assert value == exact_norm_real(T).value
     for score, t in zip(scores, T.coeffs):
         want = exact_norm_real(_flipped(T, t)).value
@@ -406,7 +413,8 @@ def test_flip_scores_are_exact_norms_of_the_flipped_forms(T, cap, flips):
 
 def test_flip_scores_past_16_pattern_bits():
     """Slot 2 enumerates 18 coordinates, 2^17 patterns: the parity of a
-    flip's sign pattern needs bits above the 16-bit table."""
+    flip's sign pattern comes from ``np.bitwise_count`` on masks and
+    pattern indices with more than 16 bits."""
     rng = np.random.default_rng(5)
     coeffs = {(i, 1 + (i * 5) % 18): int(rng.integers(1, 9)) * (-1) ** i
               for i in range(1, 19)}
@@ -414,7 +422,7 @@ def test_flip_scores_past_16_pattern_bits():
     T = MultilinearForm.build(2, (18, 18), coeffs)
     layout = _layout(T, DEFAULT_BUDGET)
     assert layout.assignments >> 1 == 2**17
-    value, scores = _flip_scores(layout, len(T.coeffs))
+    _, value, scores = _sweep(layout, len(T.coeffs))
     assert value == exact_norm_real(T).value
     assert list(scores) == [exact_norm_real(_flipped(T, t)).value for t in T.coeffs]
 
@@ -721,7 +729,8 @@ def test_poly_fallback_examples_are_the_ascent(name):
 def test_poly_beyond_float_range():
     """The exact path holds a 10^400 integer lift in Python ints and refuses
     10^400 next to a float, as for forms; the ascent on squared variables
-    turns the float overflow into ValueError."""
+    turns the float overflow into ValueError.  So do both paths when finite
+    coefficients sum past the float range."""
     big = 10**400
     T = MultilinearForm.build(2, (2, 2), {(1, 1): big, (2, 2): 1})
     L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), 3)
@@ -733,6 +742,13 @@ def test_poly_beyond_float_range():
     squared = _poly(2, 2, [([(1, 2)], big), ([(2, 2)], 1)])
     with pytest.raises(ValueError, match="float range"):
         poly_lower_bound(squared)
+    wide_squared = _poly(2, 2, [([(1, 2)], 1.7e308), ([(1, 1), (2, 1)], 1.7e308),
+                                ([(2, 2)], 1.7e308)])
+    wide_multiaffine = _poly(2, 3, [([(1, 1), (2, 1)], 1.7e308),
+                                    ([(2, 1), (3, 1)], 1.7e308)])
+    for P in (wide_squared, wide_multiaffine):
+        with pytest.raises(ValueError, match="float range"):
+            poly_lower_bound(P)
 
 
 def test_subnormal_leading_coefficient_keeps_the_ascent():

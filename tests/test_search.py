@@ -25,6 +25,7 @@ from bhforms import (
     s_family,
     theorem_upper_bound,
 )
+from bhforms.norms import DEFAULT_BUDGET
 from bhforms.search import form_hash
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -125,7 +126,7 @@ def _naive_climb(cfg, initial=None):
 
     def ratio(T):
         s = restriction_sum(T, cfg.restriction, p)
-        norm = exact_norm_real(T, budget=cfg.norm_budget)
+        norm = exact_norm_real(T, budget=DEFAULT_BUDGET)
         return s / norm.value, norm, s
 
     positions = list(itertools.product(*(range(1, d + 1) for d in cfg.dims)))

@@ -194,13 +194,18 @@ def test_restricted_ratio_below_theorem_bound():
 
 
 def test_sums_beyond_float_range_are_value_errors():
-    T = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): 0.5})
-    for values in ([10**400, 0.5], [10**400], [0.5, -(10**400), 3]):
+    """Ints beyond the float range, and finite floats whose sum is."""
+    for values in ([10**400, 0.5], [10**400], [0.5, -(10**400), 3],
+                   [1.7e308, 1.7e308], [1.7e308, -1.7e308, 1.0]):
+        for p in (1, 4 / 3):
+            with pytest.raises(ValueError, match="float range"):
+                lp_sum(values, p)
+    for coeffs, M in (({(1, 1): 10**400, (2, 2): 0.5}, 1),
+                      ({(1, 1): 1.7e308, (2, 1): 1.7e308, (1, 2): 1.0}, 2)):
+        T = MultilinearForm.build(2, (2, 2), coeffs)
         with pytest.raises(ValueError, match="float range"):
-            lp_sum(values, 4 / 3)
-    with pytest.raises(ValueError, match="float range"):
-        restricted_sum(T, 1, 2.0)
-    with pytest.raises(ValueError, match="float range"):
-        ratio_report(T)
+            restricted_sum(T, M, 2.0)
+        with pytest.raises(ValueError, match="float range"):
+            ratio_report(T)
     # huge ints whose sum has a float value still work
     assert lp_sum([10**300, 10**300], 1) == 2e300
