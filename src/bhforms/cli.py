@@ -25,24 +25,18 @@ def _int_list(value: str) -> list[int]:
 
 def _restriction(args) -> sums.Restriction:
     given = [
-        name
-        for name, val in (
-            ("card", getattr(args, "card", None)),
-            ("omega", getattr(args, "omega", None)),
-            ("block", getattr(args, "block", None)),
-        )
+        (kind, val)
+        for kind, val in (("card", args.card), ("omega", args.omega), ("block", args.block))
         if val is not None
     ]
     if len(given) > 1:
         raise UsageError("at most one of --card/--omega/--block may be given")
     if not given:
         return sums.FULL
-    kind = given[0]
-    if kind == "card":
-        return sums.Restriction("card", M=args.card)
-    if kind == "omega":
-        return sums.Restriction("omega", M=args.omega)
-    return sums.Restriction("block", partition=tuple(_int_list(args.block)))
+    kind, val = given[0]
+    if kind == "block":
+        return sums.Restriction("block", partition=tuple(_int_list(val)))
+    return sums.Restriction(kind, M=val)
 
 
 class UsageError(Exception):
@@ -76,6 +70,8 @@ def _gen(args) -> int:
 
 def _norm(args) -> int:
     obj = core.load_any(args.infile)
+    if args.method == "ascent" and args.seed is None:
+        raise UsageError("--seed is required for --method ascent")
     if isinstance(obj, core.MultilinearForm):
         if args.method == "exact":
             result = norms.exact_norm_real(obj, budget=args.budget)
@@ -84,15 +80,13 @@ def _norm(args) -> int:
             _print_json({"value": value, "exact": True, "method": "brute"})
             return 0
         else:
-            if args.seed is None:
-                raise UsageError("--seed is required for --method ascent")
             result = norms.ascent_lower_bound(
                 obj, seed=args.seed, restarts=args.restarts
             )
+    elif args.method == "brute":
+        raise UsageError("--method brute applies to forms only")
     else:
         seed = args.seed if args.seed is not None else 0
-        if args.method == "ascent" and args.seed is None:
-            raise UsageError("--seed is required for --method ascent")
         result = norms.poly_lower_bound(obj, seed, args.restarts, budget=args.budget)
     _print_json(result.to_json())
     return 0
@@ -208,6 +202,18 @@ def _verify(args) -> int:
     return 0 if all(o.passed for o in outcomes) else 1
 
 
+def _restriction_args(parser):
+    parser.add_argument("--card", type=int, metavar="M",
+                        help="keep the tuples with at most M distinct "
+                        "indices (forms; 1 <= M <= m)")
+    parser.add_argument("--omega", type=int, metavar="M",
+                        help="keep the monomials in at most M variables "
+                        "(polynomials; 1 <= M <= m)")
+    parser.add_argument("--block", type=str, metavar="N1,...,NM",
+                        help="keep the tuples constant on each block of this "
+                        "partition of m (forms)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bhforms",
@@ -240,9 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("sum", help="coefficient l_p sum")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--p", default="bh", help="numeric exponent or 'bh'")
-    s.add_argument("--card", type=int)
-    s.add_argument("--omega", type=int)
-    s.add_argument("--block", type=str, help="comma-separated partition")
+    _restriction_args(s)
     s.set_defaults(func=_sum)
 
     r = sub.add_parser("ratio", help="sum / norm ratio report")
@@ -250,9 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--family", choices=list(generators.FAMILIES))
     r.add_argument("--m", type=int, default=2)
     r.add_argument("--p", default="bh")
-    r.add_argument("--card", type=int)
-    r.add_argument("--omega", type=int)
-    r.add_argument("--block", type=str)
+    _restriction_args(r)
     r.add_argument("--norm", choices=["exact", "ascent"], default="exact")
     r.add_argument("--seed", type=int)
     r.add_argument("--budget", type=int, default=norms.DEFAULT_BUDGET)

@@ -390,9 +390,14 @@ def brute_force_norm_real(T: MultilinearForm, budget: int = BRUTE_BUDGET):
         for d in T.dims:
             args.append(signs[ofs : ofs + d])
             ofs += d
-        v = abs(T.evaluate(args))
+        try:
+            v = abs(T.evaluate(args))
+        except OverflowError:  # an int beyond the float range meets a float
+            raise ValueError("a coefficient is beyond the float range") from None
         if v > best:
             best = v
+    if best == math.inf:
+        raise ValueError("the norm is beyond the float range")
     return best
 
 

@@ -56,8 +56,7 @@ class SearchConfig:
             )
         if len(self.dims) != self.m:
             raise ValueError(f"expected {self.m} dims, got {len(self.dims)}")
-        if self.restriction.kind == "omega":
-            raise ValueError("omega restriction applies to polynomials only")
+        self.restriction.check(MultilinearForm, self.m)
 
     def to_json(self) -> dict:
         return {

@@ -4,6 +4,7 @@ critical one."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -13,7 +14,6 @@ from .core import (
     HomogeneousPolynomial,
     MultilinearForm,
     bh_exponent,
-    distinct_count,
 )
 from .norms import (
     DEFAULT_BUDGET,
@@ -38,22 +38,62 @@ __all__ = [
 ]
 
 
+# the objects whose coefficients each kind of restriction selects
+_APPLIES = {
+    "full": (MultilinearForm, HomogeneousPolynomial),
+    "card": MultilinearForm,
+    "omega": HomogeneousPolynomial,
+    "block": MultilinearForm,
+}
+
+
 @dataclass(frozen=True)
 class Restriction:
-    """Which coefficients enter a sum: all of them, tuples with at most M
-    distinct indices, monomials in at most M variables, or a block pattern."""
+    """Which coefficients enter a sum, and of what: the one statement of each
+    kind's rules.  ``full`` keeps every coefficient of a form or a polynomial;
+    ``card`` the tuples t of a form with len(set(t)) <= M; ``omega`` the
+    monomials alpha of a polynomial with alpha.omega <= M; ``block`` the
+    tuples of a form that are constant on each block of the partition.  For
+    degree m, 1 <= M <= m, and the partition's positive parts sum to m."""
 
     kind: str  # full | card | omega | block
     M: int | None = None
     partition: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("full", "card", "omega", "block"):
+        if self.kind not in _APPLIES:
             raise ValueError(f"unknown restriction kind {self.kind!r}")
         if self.kind in ("card", "omega") and (self.M is None or self.M < 1):
             raise ValueError(f"restriction {self.kind!r} needs M >= 1")
-        if self.kind == "block" and not self.partition:
-            raise ValueError("block restriction needs a partition")
+        if self.kind == "block" and not (self.partition and min(self.partition) >= 1):
+            raise ValueError("block restriction needs a partition of positive parts")
+
+    def check(self, cls: type, m: int) -> None:
+        """Refuse an object of type ``cls`` and degree ``m`` that the
+        restriction does not apply to or does not fit."""
+        if not issubclass(cls, _APPLIES[self.kind]):
+            what = "polynomials" if self.kind == "omega" else "forms"
+            raise ValueError(f"restriction {self.kind!r} applies to {what} only")
+        if self.kind in ("card", "omega") and self.M > m:
+            raise ValueError(f"need 1 <= M <= {m}, got {self.M}")
+        if self.kind == "block" and sum(self.partition) != m:
+            raise ValueError(f"partition {self.partition} must sum to {m}")
+
+    def kept(self, coeffs: dict):
+        """The coefficients of ``coeffs`` that the restriction keeps, in the
+        order they are summed: index order for block, dict order otherwise."""
+        M = self.M
+        if self.kind == "card":
+            return (c for t, c in coeffs.items() if len(set(t)) <= M)
+        if self.kind == "omega":
+            return (c for a, c in coeffs.items() if a.omega <= M)
+        if self.kind == "full":
+            return coeffs.values()
+        # each slot must repeat the index of its block's first slot
+        starts = itertools.accumulate(self.partition[:-1], initial=0)
+        firsts = [s for s, n in zip(starts, self.partition) for _ in range(n)]
+        keys = [t for t in coeffs if all(t[j] == t[f] for j, f in enumerate(firsts))]
+        return [coeffs[t] for t in sorted(keys)]
 
     def default_exponent(self, m: int) -> float:
         """The Bohnenblust-Hille exponent of the sum for degree m: 2M/(M+1)
@@ -95,11 +135,7 @@ def lp_sum(coeffs, p: float) -> float:
 
 def restricted_sum(T: MultilinearForm, M: int, p: float) -> float:
     """l_p sum over coefficients whose tuples use at most M distinct indices."""
-    if not 1 <= M <= T.m:
-        raise ValueError(f"need 1 <= M <= {T.m}, got {M}")
-    return lp_sum(
-        (c for t, c in T.coeffs.items() if distinct_count(t) <= M), p
-    )
+    return restriction_sum(T, Restriction("card", M=M), p)
 
 
 def block_sum(
@@ -107,56 +143,22 @@ def block_sum(
 ) -> float:
     """l_p sum of the blocked array v(i_1,...,i_M) = T(e_{i_1} repeated n_1
     times, ..., e_{i_M} repeated n_M times); default exponent 2M/(M+1)."""
-    partition = tuple(int(n) for n in partition)
-    M = len(partition)
-    if any(n < 1 for n in partition) or sum(partition) != T.m:
-        raise ValueError(
-            f"partition {partition} must have positive parts summing to {T.m}"
-        )
+    restriction = Restriction("block", partition=tuple(int(n) for n in partition))
     if p is None:
-        p = bh_exponent(M)
-    # each block index ranges within every slot the block covers
-    ranges = []
-    ofs = 0
-    for n in partition:
-        ranges.append(min(T.dims[ofs : ofs + n]))
-        ofs += n
-    values = []
-
-    def rec(block: int, prefix: tuple):
-        if block == M:
-            values.append(T.coeffs.get(prefix, 0))
-            return
-        for i in range(1, ranges[block] + 1):
-            rec(block + 1, prefix + (i,) * partition[block])
-
-    rec(0, ())
-    return lp_sum(values, p)
+        p = restriction.default_exponent(T.m)
+    return restriction_sum(T, restriction, p)
 
 
 def poly_restricted_sum(P: HomogeneousPolynomial, M: int, p: float) -> float:
     """l_p sum over monomials using at most M distinct variables."""
-    if not 1 <= M <= P.m:
-        raise ValueError(f"need 1 <= M <= {P.m}, got {M}")
-    return lp_sum((c for a, c in P.coeffs.items() if a.omega <= M), p)
+    return restriction_sum(P, Restriction("omega", M=M), p)
 
 
 def restriction_sum(obj, restriction: Restriction, p: float) -> float:
     """l_p sum of the coefficients of a form or a homogeneous polynomial that
-    ``restriction`` selects; card and block apply to forms, omega to
-    polynomials."""
-    kind = restriction.kind
-    if kind == "full":
-        return lp_sum(obj.coeffs.values(), p)
-    if isinstance(obj, MultilinearForm):
-        if kind == "card":
-            return restricted_sum(obj, restriction.M, p)
-        if kind == "block":
-            return block_sum(obj, restriction.partition, p)
-        raise ValueError("omega restriction applies to polynomials only")
-    if kind == "omega":
-        return poly_restricted_sum(obj, restriction.M, p)
-    raise ValueError(f"restriction {kind!r} applies to forms only")
+    ``restriction`` keeps; ``Restriction`` states the rules."""
+    restriction.check(type(obj), obj.m)
+    return lp_sum(restriction.kept(obj.coeffs), p)
 
 
 def interpolation_bound(

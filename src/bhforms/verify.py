@@ -27,7 +27,6 @@ from .generators import (
 from .norms import brute_force_norm_real, exact_norm_real, poly_lower_bound
 from .search import SearchConfig, ksz_scaling_experiment, maximize_ratio
 from .sums import (
-    Restriction,
     interpolation_bound,
     lp_sum,
     restricted_sum,
@@ -60,6 +59,21 @@ def _check(name, expected, computed, tol, source) -> VerifyOutcome:
     return VerifyOutcome(name, expected, computed, tol, passed, source)
 
 
+def _same(a, b, exact) -> bool:
+    """Whether two norms agree: equal when ``exact``, else within rel 1e-9
+    of b."""
+    return a == b if exact else abs(a - b) <= 1e-9 * max(1.0, abs(b))
+
+
+def _draw(m, dims, dist, seed):
+    """A random_sparse form at density 0.8; a tiny grid that draws empty
+    falls back to the dense +-1 draw."""
+    try:
+        return random_sparse(m, dims, 0.8, coeff_dist=dist, seed=seed)
+    except ValueError:
+        return random_sparse(m, dims, 1.0, coeff_dist="pm1", seed=seed)
+
+
 def make_corpus(count, max_m, max_dim, seed):
     """Seeded corpus of small random real forms with mixed coefficient
     distributions; deterministic for a fixed seed."""
@@ -70,14 +84,7 @@ def make_corpus(count, max_m, max_dim, seed):
         rng = np.random.default_rng(child)
         m = int(rng.integers(1, max_m + 1))
         dims = tuple(int(rng.integers(1, max_dim + 1)) for _ in range(m))
-        form_seed = int(child.generate_state(1)[0])
-        try:
-            forms.append(
-                random_sparse(m, dims, 0.8, coeff_dist=dists[i % 3], seed=form_seed)
-            )
-        except ValueError:
-            # tiny grid drew empty twice: fall back to the dense +-1 draw
-            forms.append(random_sparse(m, dims, 1.0, coeff_dist="pm1", seed=form_seed))
+        forms.append(_draw(m, dims, dists[i % 3], int(child.generate_state(1)[0])))
     return forms
 
 
@@ -122,16 +129,8 @@ def _family_checks(out):
 
 
 def _oracle_checks(out):
-    forms = make_corpus(100, 3, 3, seed=1001)
-    bad = 0
-    for T in forms:
-        a = exact_norm_real(T).value
-        b = brute_force_norm_real(T)
-        if T.is_integer():
-            if a != b:
-                bad += 1
-        elif abs(a - b) > 1e-9 * max(1.0, abs(b)):
-            bad += 1
+    bad = sum(not _same(exact_norm_real(T).value, brute_force_norm_real(T),
+                        T.is_integer()) for T in make_corpus(100, 3, 3, seed=1001))
     out.append(_check("oracle_equivalence", 0, bad, 0.0,
                       "closed-form elimination vs full vertex enumeration"))
 
@@ -181,11 +180,8 @@ def _upper_bound_checks(out):
     for i, child in enumerate(children):
         m, M = (3, 2) if i % 2 == 0 else (4, 3)
         dims = (3, 3, 3) if m == 3 else (2, 2, 2, 2)
-        seed = int(child.generate_state(1)[0])
-        try:
-            T = random_sparse(m, dims, 0.8, coeff_dist=("pm1", "uniform", "gaussian")[i % 3], seed=seed)
-        except ValueError:
-            T = random_sparse(m, dims, 1.0, coeff_dist="pm1", seed=seed)
+        T = _draw(m, dims, ("pm1", "uniform", "gaussian")[i % 3],
+                  int(child.generate_state(1)[0]))
         corpus.append((T, M))
     bad = 0
     for T, M in corpus:
@@ -205,12 +201,7 @@ def _construction_checks(out):
             bad += 1
             continue
         n_t = exact_norm_real(T).value
-        n_t1 = exact_norm_real(T1).value
-        if T.is_integer():
-            if n_t != n_t1:
-                bad += 1
-                continue
-        elif abs(n_t - n_t1) > 1e-9 * max(1.0, n_t):
+        if not _same(exact_norm_real(T1).value, n_t, T.is_integer()):
             bad += 1
             continue
         P = diagonal_polynomial(T1)
@@ -263,11 +254,8 @@ def _construction_checks(out):
         L = lift_polynomial(diagonal_polynomial(disjointify(T)[0]), T.m + 2)
         r = poly_lower_bound(L)
         v = abs(L.evaluate(r.witness[0]))
-        if T.is_integer():
-            bad += not r.value == v == n_t
-        else:
-            bad += not (abs(r.value - n_t) <= 1e-9 * max(1.0, n_t)
-                        and abs(v - r.value) <= 1e-9 * max(1.0, v))
+        bad += not (_same(r.value, n_t, T.is_integer())
+                    and _same(r.value, v, T.is_integer()))
     out.append(_check("lift_norm_chain", 0, bad, 0.0,
                       "the lift of the symmetrized form has the form's norm, "
                       "with a witness"))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -79,10 +80,10 @@ def test_construct_symmetrize_and_lift(tmp_path):
          "--emit-embedding", e_path]
     )
     assert code == 0
-    doc = json.loads(open(p_path).read())
+    doc = json.loads(Path(p_path).read_text())
     assert doc["kind"] == "poly"
     assert len(doc["coeffs"]) == 4
-    emb = json.loads(open(e_path).read())
+    emb = json.loads(Path(e_path).read_text())
     assert emb["m"] == 2
     code, out, _ = invoke(["construct", "lift", "--in", p_path, "--m", "4"])
     assert code == 0
@@ -190,11 +191,14 @@ def _wide_float_forms(tmp_path):
 
 
 def test_norm_of_float_form_beyond_float_range_exit_2(tmp_path):
+    """The exact path and the brute oracle refuse both documents: no
+    infinite value reported as exact, no traceback."""
     for path in _wide_float_forms(tmp_path):
-        code, out, err = invoke(["norm", "--in", path])
-        assert code == 2
-        assert out == ""
-        assert "float range" in err
+        for method in ("exact", "brute"):
+            code, out, err = invoke(["norm", "--method", method, "--in", path])
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ") and "float range" in err
 
 
 @pytest.mark.parametrize("command", ["sum", "ratio"])
@@ -205,6 +209,15 @@ def test_sum_of_float_form_beyond_float_range_exit_2(tmp_path, command):
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and "float range" in err
+
+
+def test_brute_norm_of_polynomial_is_a_usage_error(tmp_path):
+    form, sym = str(tmp_path / "s2.json"), str(tmp_path / "p.json")
+    invoke(["gen", "--family", "s2", "--out", form])
+    invoke(["construct", "symmetrize", "--in", form, "--out", sym])
+    code, out, err = invoke(["norm", "--method", "brute", "--in", sym])
+    assert (code, out) == (2, "")
+    assert "forms only" in err
 
 
 def test_ascent_on_float_form_beyond_float_range_exit_2(tmp_path):

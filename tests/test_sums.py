@@ -8,6 +8,7 @@ import pytest
 from bhforms import (
     MultilinearForm,
     Restriction,
+    SearchConfig,
     a_family,
     bh_exponent,
     block_sum,
@@ -19,6 +20,7 @@ from bhforms import (
     r_family,
     ratio_report,
     restricted_sum,
+    restriction_sum,
     s_family,
     theorem_upper_bound,
 )
@@ -85,22 +87,54 @@ def test_block_sum_trivial_partitions():
     assert block_sum(S3, (3,), 2) == pytest.approx(lp_sum(diag_values, 2))
 
 
+def _compositions(m):
+    """Every tuple of positive parts summing to m."""
+    if m == 0:
+        return [()]
+    return [(n,) + rest for n in range(1, m + 1) for rest in _compositions(m - n)]
+
+
 def test_block_sum_derived_by_expansion():
-    # partition (2,1): independent oracle evaluates S3 on repeated basis vectors
-    S3 = s_family(3)
-    values = []
-    for i in range(1, 3):
-        ei4 = tuple(1 if k == i else 0 for k in range(1, 5))
-        for j in range(1, 3):
-            ej = tuple(1 if k == j else 0 for k in range(1, 3))
-            values.append(S3.evaluate([ei4, ei4[:2], ej]))
-    expected = lp_sum(values, 1.5)
-    assert block_sum(S3, (2, 1), 1.5) == pytest.approx(expected, rel=1e-12)
+    """An independent oracle evaluates each form on repeated basis vectors
+    e_{i_1} (n_1 times), ..., e_{i_M} (n_M times), over every block index in
+    index order; basis vectors past a slot's dimension give zeros."""
+    for T in [s_family(3), *make_corpus(30, 4, 3, seed=41)]:
+        D = max(T.dims)
+        basis = [tuple(int(k == i) for k in range(1, D + 1)) for i in range(1, D + 1)]
+        for partition in _compositions(T.m):
+            values = [
+                T.evaluate([basis[i] for i, n in zip(idx, partition) for _ in range(n)])
+                for idx in itertools.product(range(D), repeat=len(partition))
+            ]
+            for p in (1.5, None):
+                q = bh_exponent(len(partition)) if p is None else p
+                assert block_sum(T, partition, p) == lp_sum(values, q)
 
 
 def test_block_sum_bad_partition():
-    with pytest.raises(ValueError):
-        block_sum(s_family(3), (2, 2))
+    """Misapplied restrictions: card or block on a polynomial, omega on a
+    form, M beyond the degree, a partition that does not sum to it, and a
+    search over forms with card M beyond m."""
+    S3 = s_family(3)
+    P = diagonal_polynomial(disjointify(S3)[0])
+    cases = [
+        lambda: block_sum(S3, (2, 2)),
+        lambda: block_sum(S3, (1, 1)),
+        lambda: block_sum(S3, (3, 0)),
+        lambda: restriction_sum(P, Restriction("card", M=1), 2),
+        lambda: restriction_sum(P, Restriction("block", partition=(1, 1, 1)), 2),
+        lambda: restriction_sum(S3, Restriction("omega", M=1), 2),
+        lambda: restricted_sum(S3, 4, 2),
+        lambda: restricted_sum(S3, 0, 2),
+        lambda: poly_restricted_sum(P, 4, 2),
+        lambda: restriction_sum(S3, Restriction("block", partition=(2, 2)), 2),
+        lambda: SearchConfig(m=2, dims=(2, 2), restriction=Restriction("card", M=3)),
+        lambda: SearchConfig(m=2, dims=(2, 2),
+                             restriction=Restriction("block", partition=(1,))),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError):
+            case()
 
 
 def test_poly_restricted_sum():
