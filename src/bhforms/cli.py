@@ -61,10 +61,7 @@ def _gen(args) -> int:
             args.m, tuple(_int_list(args.dims)), args.density,
             coeff_dist=args.dist, seed=args.seed,
         )
-    if args.out:
-        core.save_form(T, args.out)
-    else:
-        print(core.dumps(T))
+    core.save_form(T, args.out or sys.stdout)
     return 0
 
 
@@ -126,25 +123,16 @@ def _ratio(args) -> int:
 
 
 def _construct(args) -> int:
-    if args.action == "symmetrize":
-        T = core.load_form(args.infile)
-        T1, emb = constructions.disjointify(T)
+    if args.action == "lift":
+        P = constructions.lift_polynomial(core.load_poly(args.infile), args.m)
+    else:
+        T1, emb = constructions.disjointify(core.load_form(args.infile))
         P = constructions.diagonal_polynomial(T1)
-        if args.out:
-            core.save_poly(P, args.out)
-        else:
-            print(core.dumps(P))
-        if args.emit_embedding:
-            with open(args.emit_embedding, "w", encoding="utf-8") as fh:
-                json.dump(emb.to_json(), fh)
-                fh.write("\n")
-    else:  # lift
-        P = core.load_poly(args.infile)
-        lifted = constructions.lift_polynomial(P, args.m)
-        if args.out:
-            core.save_poly(lifted, args.out)
-        else:
-            print(core.dumps(lifted))
+    core.save_poly(P, args.out or sys.stdout)
+    if args.action == "symmetrize" and args.emit_embedding:
+        with open(args.emit_embedding, "w", encoding="utf-8") as fh:
+            json.dump(emb.to_json(), fh)
+            fh.write("\n")
     return 0
 
 

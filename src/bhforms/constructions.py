@@ -61,7 +61,7 @@ def diagonal_polynomial(T1: MultilinearForm) -> HomogeneousPolynomial:
         # monomials collided: their sums may cancel, or two finite floats may
         # sum past the float range
         for alpha, c in coeffs.items():
-            _check_scalar(c, T1.field, f"coefficient at {alpha}")
+            _check_scalar(c, T1.field, alpha)
         coeffs = {alpha: c for alpha, c in coeffs.items() if c != 0}
     return HomogeneousPolynomial(m=T1.m, n=max(T1.dims), field=T1.field, coeffs=coeffs)
 

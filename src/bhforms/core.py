@@ -15,6 +15,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
@@ -75,18 +76,64 @@ def is_exact_int(c) -> bool:
     return isinstance(c, int) and not isinstance(c, bool)
 
 
-def _check_scalar(c, field: str, where: str):
-    if isinstance(c, bool):
-        raise ParseError("boolean is not a coefficient", where)
+def _is_real(v) -> bool:
+    """Whether v is a real scalar: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_scalar(c, field: str, key):
+    """Refuse a coefficient, stored at ``key``, that is not a finite scalar of
+    the field.  The location is formatted only for an error."""
     if isinstance(c, complex):
         if field == REAL:
             raise FieldMismatchError(
-                f"complex coefficient {c!r} in a real container ({where})"
+                f"complex coefficient {c!r} in a real container (coefficient at {key})"
             )
-    elif not isinstance(c, (int, float)):
-        raise ParseError(f"unsupported coefficient type {type(c).__name__}", where)
+    elif not _is_real(c):
+        raise ParseError(f"unsupported coefficient type {type(c).__name__}",
+                         f"coefficient at {key}")
     if not isinstance(c, int) and not cmath.isfinite(c):
-        raise ParseError(f"non-finite coefficient {c!r}", where)
+        raise ParseError(f"non-finite coefficient {c!r}", f"coefficient at {key}")
+
+
+def _check_index(t: tuple, dims: tuple):
+    """Refuse an index tuple that does not address a coefficient of a form
+    with these slot dimensions."""
+    if len(t) != len(dims):
+        raise ValueError(f"index tuple {t} has length {len(t)}, expected {len(dims)}")
+    for j, i in enumerate(t):
+        if not 1 <= i <= dims[j]:
+            raise ValueError(
+                f"index {i} out of range 1..{dims[j]} in slot {j + 1} "
+                "(indices are 1-based)"
+            )
+
+
+def _real_value(expand, coeffs: Mapping, args):
+    """``expand(coeffs, args)``, the float sum of a real container's terms in
+    stored order, when it is finite.  When that sum overflows, or an int too
+    large for a float meets a float, the terms are added again exactly and
+    the sum is rounded once: a value in the float range is returned, one
+    beyond it raises ``ValueError``."""
+    try:
+        total = expand(coeffs, args)
+        if not isinstance(total, float) or math.isfinite(total):
+            return total
+    except OverflowError:
+        pass
+    try:
+        exact = expand({k: Fraction(c) for k, c in coeffs.items()}, _fractions(args))
+        return float(exact)
+    except OverflowError:
+        raise ValueError("the value is beyond the float range") from None
+
+
+def _fractions(v):
+    """A real scalar, or nested sequences of them, as exact fractions."""
+    try:
+        return Fraction(v)
+    except TypeError:
+        return [_fractions(u) for u in v]
 
 
 def _scalar_to_json(c) -> dict:
@@ -99,12 +146,13 @@ def _scalar_from_json(entry: Mapping, field: str, where: str):
     re = entry.get("re", 0)
     im = entry.get("im", 0)
     for key, v in (("re", re), ("im", im)):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
+        if not _is_real(v):
             raise ParseError(f"coefficient field '{key}' must be a number", where)
     if im != 0:
-        if field == REAL:
-            raise ParseError("nonzero imaginary part in a real document", where)
-        return complex(re, im)
+        try:
+            return complex(re, im)
+        except OverflowError:
+            raise ParseError("a coefficient is beyond the float range", where) from None
     if field == COMPLEX and not is_exact_int(re):
         return complex(re, 0.0)
     return re
@@ -147,14 +195,8 @@ class MultilinearForm:
         canon = {}
         for t, c in coeffs.items():
             t = tuple(int(i) for i in t)
-            if len(t) != m:
-                raise ValueError(f"index tuple {t} has length {len(t)}, expected {m}")
-            for j, i in enumerate(t):
-                if not 1 <= i <= dims[j]:
-                    raise ValueError(
-                        f"index {i} out of range 1..{dims[j]} in slot {j + 1}"
-                    )
-            _check_scalar(c, field, f"coefficient at {t}")
+            _check_index(t, dims)
+            _check_scalar(c, field, t)
             if c != 0:
                 canon[t] = c
         return cls(m=m, dims=dims, field=field, coeffs=canon)
@@ -162,20 +204,16 @@ class MultilinearForm:
     def coefficient(self, t: Iterable[int]):
         """Stored value at the 1-based tuple ``t``, or zero."""
         t = tuple(int(i) for i in t)
-        if len(t) != self.m:
-            raise ValueError(f"index tuple {t} has length {len(t)}, expected {self.m}")
-        for j, i in enumerate(t):
-            if not 1 <= i <= self.dims[j]:
-                raise ValueError(
-                    f"index {i} out of range 1..{self.dims[j]} in slot {j + 1}"
-                )
+        _check_index(t, self.dims)
         return self.coeffs.get(t, 0)
 
     def evaluate(self, args):
         """Direct expansion of the multilinear sum at m argument vectors.
 
         Argument vectors are read 1-based; entries beyond the slot dimension
-        are ignored.  Exact when all coefficients and entries are ints.
+        are ignored.  Exact when all coefficients and entries are ints.  A real
+        form's value is returned whenever it is in the float range, and one
+        beyond it raises ``ValueError``: see ``_real_value``.
         """
         if len(args) != self.m:
             raise ValueError(f"expected {self.m} argument vectors, got {len(args)}")
@@ -186,8 +224,14 @@ class MultilinearForm:
                 )
             if self.field == REAL and any(isinstance(v, complex) for v in x):
                 raise FieldMismatchError("complex argument into a real form")
+        if self.field == COMPLEX:
+            return self._expand(self.coeffs, args)
+        return _real_value(self._expand, self.coeffs, args)
+
+    @staticmethod
+    def _expand(coeffs: Mapping, args):
         total = 0
-        for t, c in self.coeffs.items():
+        for t, c in coeffs.items():
             term = c
             for j, i in enumerate(t):
                 term = term * args[j][i - 1]
@@ -315,19 +359,27 @@ class HomogeneousPolynomial:
                 raise ValueError(
                     f"variable {alpha.max_variable()} exceeds ambient dimension {n}"
                 )
-            _check_scalar(c, field, f"coefficient at {alpha}")
+            _check_scalar(c, field, alpha)
             if c != 0:
                 canon[alpha] = c
         return cls(m=m, n=n, field=field, coeffs=canon)
 
     def evaluate(self, x):
-        """P(x) for a 1-based vector x of length >= n (extra entries ignored)."""
+        """P(x) for a 1-based vector x of length >= n (extra entries ignored).
+        A real polynomial's value is returned whenever it is in the float
+        range, and one beyond it raises ``ValueError``: see ``_real_value``."""
         if len(x) < self.n:
             raise ValueError(f"argument has length {len(x)} < dim {self.n}")
         if self.field == REAL and any(isinstance(v, complex) for v in x):
             raise FieldMismatchError("complex argument into a real polynomial")
+        if self.field == COMPLEX:
+            return self._expand(self.coeffs, x)
+        return _real_value(self._expand, self.coeffs, x)
+
+    @staticmethod
+    def _expand(coeffs: Mapping, x):
         total = 0
-        for alpha, c in self.coeffs.items():
+        for alpha, c in coeffs.items():
             term = c
             for var, exp in alpha.exponents:
                 term = term * x[var - 1] ** exp
@@ -363,9 +415,6 @@ class HomogeneousPolynomial:
 
 # --- JSON documents ---------------------------------------------------------
 
-_FORM_KEYS = {"kind", "m", "field", "dims", "coeffs"}
-_POLY_KEYS = {"kind", "m", "n", "field", "coeffs"}
-
 
 def _check_keys(doc: Mapping, allowed: set, where: str):
     unknown = set(doc) - allowed
@@ -392,93 +441,92 @@ def _read_doc(source) -> dict:
     return doc
 
 
-def form_from_json(doc: Mapping) -> MultilinearForm:
-    _check_keys(doc, _FORM_KEYS, "top level")
-    if doc.get("kind") != "form":
-        raise ParseError(f"expected kind 'form', got {doc.get('kind')!r}", "kind")
-    for key in ("m", "field", "dims", "coeffs"):
-        if key not in doc:
-            raise ParseError(f"missing field '{key}'", "top level")
-    m, field, dims = doc["m"], doc["field"], doc["dims"]
-    if field not in (REAL, COMPLEX):
-        raise ParseError(f"unknown field tag {field!r}", "field")
+def _ints(v) -> bool:
+    """Whether a JSON value is a list of integers."""
+    return type(v) is list and all(type(i) is int for i in v)
+
+
+def _read_idx(v) -> tuple:
+    if not _ints(v):
+        raise ValueError("'idx' must be a list of integers")
+    return tuple(v)
+
+
+def _read_alpha(v) -> MultiIndex:
+    if type(v) is not list or not all(
+        type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in v
+    ):
+        raise ValueError("'alpha' must be a list of [variable, exponent] pairs")
+    return MultiIndex.from_pairs(v)
+
+
+# what differs between the two document kinds: the class, the size field and
+# the test of its JSON shape, the key field and the reader of one key
+_KINDS = {
+    "form": (MultilinearForm, "dims", _ints, "idx", _read_idx),
+    "poly": (HomogeneousPolynomial, "n", is_exact_int, "alpha", _read_alpha),
+}
+
+
+def _from_json(doc: Mapping, kind: str | None):
+    """The form or polynomial of a parsed document of ``kind``, or of the kind
+    the document names when ``kind`` is None.  The reader checks the JSON
+    shape only (known fields, integers where integers belong, numbers in
+    're' and 'im', no key twice); ``build`` checks the values."""
+    if kind is None:
+        kind = doc.get("kind")
+        if not isinstance(kind, str) or kind not in _KINDS:
+            raise ParseError(f"unknown document kind {kind!r}", "kind")
+    if doc.get("kind") != kind:
+        raise ParseError(f"expected kind {kind!r}, got {doc.get('kind')!r}", "kind")
+    cls, size, size_ok, key, read_key = _KINDS[kind]
+    _check_keys(doc, {"kind", "m", "field", size, "coeffs"}, "top level")
+    for name in ("m", "field", size, "coeffs"):
+        if name not in doc:
+            raise ParseError(f"missing field '{name}'", "top level")
+    m, field, entries = doc["m"], doc["field"], doc["coeffs"]
+    if not (is_exact_int(m) and size_ok(doc[size]) and isinstance(entries, list)):
+        raise ParseError(f"'m' and '{size}' must hold integers, 'coeffs' a list",
+                         "top level")
     coeffs = {}
-    for pos, entry in enumerate(doc["coeffs"]):
+    for pos, entry in enumerate(entries):
         where = f"coeffs[{pos}]"
         if not isinstance(entry, dict):
             raise ParseError("coefficient entry must be an object", where)
-        _check_keys(entry, {"idx", "re", "im"}, where)
-        if "idx" not in entry:
-            raise ParseError("missing 'idx'", where)
-        idx = entry["idx"]
-        if not isinstance(idx, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in idx
-        ):
-            raise ParseError("'idx' must be a list of integers", where)
-        if any(i < 1 for i in idx):
-            raise ParseError("indices are 1-based; got an index < 1", where)
-        t = tuple(idx)
-        if t in coeffs:
-            raise ParseError(f"duplicate tuple {t}", where)
-        coeffs[t] = _scalar_from_json(entry, field, where)
+        _check_keys(entry, {key, "re", "im"}, where)
+        if key not in entry:
+            raise ParseError(f"missing '{key}'", where)
+        try:
+            k = read_key(entry[key])
+        except ValueError as exc:
+            raise ParseError(str(exc), where) from exc
+        if k in coeffs:
+            raise ParseError(f"duplicate {key} {entry[key]}", where)
+        coeffs[k] = _scalar_from_json(entry, field, where)
     try:
-        return MultilinearForm.build(m, dims, coeffs, field=field)
+        return cls.build(m, doc[size], coeffs, field=field)
     except (ValueError, FieldMismatchError) as exc:
         raise ParseError(str(exc), "document") from exc
+
+
+def form_from_json(doc: Mapping) -> MultilinearForm:
+    return _from_json(doc, "form")
 
 
 def poly_from_json(doc: Mapping) -> HomogeneousPolynomial:
-    _check_keys(doc, _POLY_KEYS, "top level")
-    if doc.get("kind") != "poly":
-        raise ParseError(f"expected kind 'poly', got {doc.get('kind')!r}", "kind")
-    for key in ("m", "n", "field", "coeffs"):
-        if key not in doc:
-            raise ParseError(f"missing field '{key}'", "top level")
-    m, n, field = doc["m"], doc["n"], doc["field"]
-    if field not in (REAL, COMPLEX):
-        raise ParseError(f"unknown field tag {field!r}", "field")
-    coeffs = {}
-    for pos, entry in enumerate(doc["coeffs"]):
-        where = f"coeffs[{pos}]"
-        if not isinstance(entry, dict):
-            raise ParseError("coefficient entry must be an object", where)
-        _check_keys(entry, {"alpha", "re", "im"}, where)
-        if "alpha" not in entry:
-            raise ParseError("missing 'alpha'", where)
-        pairs = entry["alpha"]
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in pairs
-        ):
-            raise ParseError("'alpha' must be a list of [variable, exponent] pairs", where)
-        try:
-            alpha = MultiIndex.from_pairs(pairs)
-        except ValueError as exc:
-            raise ParseError(str(exc), where) from exc
-        if alpha in coeffs:
-            raise ParseError(f"duplicate multi-index {alpha}", where)
-        coeffs[alpha] = _scalar_from_json(entry, field, where)
-    try:
-        return HomogeneousPolynomial.build(m, n, coeffs, field=field)
-    except (ValueError, FieldMismatchError) as exc:
-        raise ParseError(str(exc), "document") from exc
+    return _from_json(doc, "poly")
 
 
 def load_form(source) -> MultilinearForm:
-    return form_from_json(_read_doc(source))
+    return _from_json(_read_doc(source), "form")
 
 
 def load_poly(source) -> HomogeneousPolynomial:
-    return poly_from_json(_read_doc(source))
+    return _from_json(_read_doc(source), "poly")
 
 
 def load_any(source):
-    doc = _read_doc(source)
-    kind = doc.get("kind")
-    if kind == "form":
-        return form_from_json(doc)
-    if kind == "poly":
-        return poly_from_json(doc)
-    raise ParseError(f"unknown document kind {kind!r}", "kind")
+    return _from_json(_read_doc(source), None)
 
 
 def dumps(obj) -> str:
@@ -487,7 +535,9 @@ def dumps(obj) -> str:
     return json.dumps(obj.to_json(), separators=(",", ":"), sort_keys=False)
 
 
-def _write_doc(obj, target):
+def save_form(obj, target):
+    """Write the canonical document of a form or a polynomial, and a newline,
+    to a path or a text stream."""
     text = dumps(obj) + "\n"
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8") as fh:
@@ -496,9 +546,4 @@ def _write_doc(obj, target):
         target.write(text)
 
 
-def save_form(T: MultilinearForm, target):
-    _write_doc(T, target)
-
-
-def save_poly(P: HomogeneousPolynomial, target):
-    _write_doc(P, target)
+save_poly = save_form

@@ -18,8 +18,8 @@ KSZ_BUDGET = 1 << 22
 
 def littlewood_s2() -> MultilinearForm:
     """The sharp Littlewood witness x1*y1 + x1*y2 + x2*y1 - x2*y2."""
-    return MultilinearForm.build(
-        2, (2, 2), {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1}
+    return MultilinearForm(
+        2, (2, 2), REAL, {(1, 1): 1, (1, 2): 1, (2, 1): 1, (2, 2): -1}
     )
 
 
@@ -45,7 +45,7 @@ def s_family(m: int) -> MultilinearForm:
             new[ts + (2,)] = -c
         coeffs = new
     dims = (1 << (m - 1),) + (2,) * (m - 1)
-    return MultilinearForm.build(m, dims, coeffs)
+    return MultilinearForm(m, dims, REAL, coeffs)
 
 
 def r_family(m: int) -> MultilinearForm:
@@ -63,7 +63,7 @@ def r_family(m: int) -> MultilinearForm:
             t += bt
             c *= bc
         coeffs[t] = c
-    return MultilinearForm.build(m, (2,) * m, coeffs)
+    return MultilinearForm(m, (2,) * m, REAL, coeffs)
 
 
 def a_family(m: int) -> MultilinearForm:
@@ -73,7 +73,7 @@ def a_family(m: int) -> MultilinearForm:
         raise ValueError(f"a_family needs odd m >= 3, got {m}")
     base = r_family(m - 1)
     coeffs = {t + (1,): c for t, c in base.coeffs.items()}
-    return MultilinearForm.build(m, base.dims + (1,), coeffs)
+    return MultilinearForm(m, base.dims + (1,), REAL, coeffs)
 
 
 
@@ -103,7 +103,7 @@ def ksz_random(m: int, n: int, seed: int, budget: int = KSZ_BUDGET) -> Multiline
     coeffs = {}
     for t, s in zip(itertools.product(range(1, n + 1), repeat=m), signs):
         coeffs[t] = int(s)
-    return MultilinearForm.build(m, (n,) * m, coeffs)
+    return MultilinearForm(m, (n,) * m, REAL, coeffs)
 
 
 def random_sparse(
@@ -120,7 +120,8 @@ def random_sparse(
         raise ValueError(f"density must be in (0, 1], got {density}")
     if coeff_dist not in ("pm1", "uniform", "gaussian"):
         raise ValueError(f"unknown coefficient distribution {coeff_dist!r}")
-    dims = tuple(int(d) for d in dims)
+    # m and dims come from the caller: build refuses bad values
+    dims = MultilinearForm.build(m, dims, {}).dims
     ss = np.random.SeedSequence(seed)
     for attempt_ss in (ss, ss.spawn(1)[0]):
         rng = np.random.default_rng(attempt_ss)
@@ -137,7 +138,7 @@ def random_sparse(
             if c != 0:
                 coeffs[t] = c
         if coeffs:
-            return MultilinearForm.build(m, dims, coeffs)
+            return MultilinearForm(m, dims, REAL, coeffs)
     raise ValueError(
         f"random_sparse drew an empty form twice (density={density}, dims={dims})"
     )

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .constructions import diagonal_polynomial, disjointify, lift_polynomial
-from .core import MultiIndex, HomogeneousPolynomial, bh_exponent
+from .core import REAL, MultiIndex, HomogeneousPolynomial, bh_exponent
 from .generators import (
     a_family,
     littlewood_s2,
@@ -228,7 +228,7 @@ def _construction_checks(out):
             vars_ = rng.choice(np.arange(2, 7), size=d, replace=False)
             alpha = MultiIndex.from_pairs([(int(v), 1) for v in vars_])
             coeffs[alpha] = float(rng.uniform(-2, 2))
-        P = HomogeneousPolynomial.build(d, 6, coeffs)
+        P = HomogeneousPolynomial(m=d, n=6, field=REAL, coeffs=coeffs)
         m = M + int(rng.integers(0, 3))
         L = lift_polynomial(P, m)
         if len(L.coeffs) != len(P.coeffs):

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -138,13 +141,49 @@ def test_budget_refusal_exit_3(tmp_path):
             assert "budget" in err.lower()
 
 
+FORM = ('{"kind":"form","m":2,"field":"real",%s"coeffs":[{"idx":[1,2],"re":1},'
+        '{"idx":%s,"re":%s}]}')
+POLY = ('{"kind":"poly","m":2,%s"field":"real","coeffs":[{"alpha":[[1,1],[3,1]],'
+        '"re":1},{"alpha":%s,"re":%s}]}')
+DIMS = '"dims":[2,2],'
+N = '"n":3,'
+
+MALFORMED = [
+    # (document, a fragment of the error message)
+    (FORM % (DIMS, "[0,1]", "1"), "1-based"),
+    (FORM % (DIMS, "[3,1]", "1"), "out of range"),
+    (FORM % (DIMS, "[1,1,1]", "1"), "length"),
+    (FORM % (DIMS, "[true,1]", "1"), "'idx'"),
+    (FORM % (DIMS, "[1.0,1]", "1"), "'idx'"),
+    (FORM % (DIMS, '["1",1]', "1"), "'idx'"),
+    (FORM % (DIMS, "[1,2]", "1"), "duplicate"),
+    (FORM % (DIMS + '"extra":1,', "[1,1]", "1"), "unknown fields"),
+    (FORM % (DIMS, '[1,1],"w":2', "1"), "unknown fields"),
+    (FORM % ("", "[1,1]", "1"), "missing field 'dims'"),
+    (FORM % (DIMS, "[1,1]", '"1"'), "must be a number"),
+    (FORM % (DIMS, "[1,1]", "true"), "must be a number"),
+    (FORM % (DIMS, "[1,1]", '1,"im":2'), "real container"),
+    (FORM % (DIMS, "[1,1]", "1e400"), "non-finite"),
+    (POLY % (N, "[[0,1],[2,1]]", "1"), "1-based"),
+    (POLY % (N, "[[1,0],[2,2]]", "1"), ">= 1"),
+    (POLY % (N, "[[2,1],[2,1]]", "1"), "duplicate variable"),
+    (POLY % (N, "[[2,3]]", "1"), "degree"),
+    (POLY % (N, "[[1,1],[4,1]]", "1"), "exceeds"),
+    (POLY % (N, "[[3,1],[1,1]]", "1"), "duplicate"),
+    (POLY % (N, "[1,2]", "1"), "pairs"),
+    (POLY % (N, "[[1,1,1]]", "1"), "pairs"),
+    (POLY % ("", "[[2,2]]", "1"), "missing field 'n'"),
+    ('{"kind":"tensor","m":1,"field":"real","coeffs":[]}', "unknown document kind"),
+]
+
+
 def test_malformed_document_exit_2(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text('{"kind":"form","m":1,"field":"real","dims":[1],'
-                    '"coeffs":[{"idx":[0],"re":1}]}')
-    code, _, err = invoke(["norm", "--in", str(path)])
-    assert code == 2
-    assert "1-based" in err
+    for text, fragment in MALFORMED:
+        path.write_text(text)
+        code, out, err = invoke(["norm", "--in", str(path)])
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error: ") and fragment in err, (text, err)
 
 
 def test_norm_of_huge_integer_coefficients_is_exact(tmp_path):
@@ -199,6 +238,40 @@ def test_norm_of_float_form_beyond_float_range_exit_2(tmp_path):
             assert code == 2
             assert out == ""
             assert err.startswith("error: ") and "float range" in err
+
+
+def test_brute_norm_past_a_partial_sum_overflow(tmp_path):
+    """A float sum that overflows on the way to a value in the float range:
+    the brute oracle prints the exact method's norm."""
+    path = tmp_path / "partial.json"
+    path.write_text('{"kind":"form","m":2,"field":"real","dims":[2,2],"coeffs":['
+                    '{"idx":[1,1],"re":0.8e308},{"idx":[1,2],"re":0.8e308},'
+                    '{"idx":[2,1],"re":0.8e308},{"idx":[2,2],"re":-0.8e308}]}')
+    values = []
+    for method in ("exact", "brute"):
+        code, out, _ = invoke(["norm", "--method", method, "--in", str(path)])
+        assert code == 0
+        values.append(json.loads(out)["value"])
+    assert values == [1.6e308, 1.6e308]
+
+
+def test_python_m_bhforms_exit_codes(tmp_path):
+    """The real exit codes, through ``sys.exit`` in a fresh interpreter."""
+    import bhforms
+
+    src = str(Path(bhforms.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    bad, ksz = tmp_path / "bad.json", str(tmp_path / "ksz.json")
+    bad.write_text(MALFORMED[0][0])
+    assert run(["gen", "--family", "ksz", "--m", "2", "--n", "3", "--seed", "1",
+                "--out", ksz]) == 0
+    for argv, code in ((["verify", "--suite", "paper"], 0),
+                       (["norm", "--in", str(bad)], 2),
+                       (["norm", "--in", ksz, "--budget", "0"], 3)):
+        done = subprocess.run([sys.executable, "-m", "bhforms", *argv], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert done.returncode == code, (argv, done.stderr)
 
 
 @pytest.mark.parametrize("command", ["sum", "ratio"])

@@ -24,7 +24,7 @@ from bhforms import (
     s_family,
     save_form,
 )
-from bhforms.core import form_from_json
+from bhforms.core import form_from_json, poly_from_json
 
 
 def test_s2_evaluation_by_hand():
@@ -187,6 +187,27 @@ def test_parse_rejects_imaginary_in_real_document():
            "coeffs": [{"idx": [1], "re": 1, "im": 2}]}
     with pytest.raises(ParseError):
         form_from_json(doc)
+
+
+def test_parse_rejects_wrong_json_types():
+    """Integers where integers belong and a list of coefficients: a float,
+    string or bool there is refused, not coerced, and no document raises
+    anything but ParseError."""
+    form = littlewood_s2().to_json()
+    poly = diagonal_polynomial(disjointify(littlewood_s2())[0]).to_json()
+    cases = [("m", 2.0), ("m", "2"), ("dims", [2.0, 2]), ("dims", ["2", 2]),
+             ("dims", [True, 2]), ("dims", None), ("coeffs", {}), ("coeffs", 3)]
+    for field, value in cases:
+        with pytest.raises(ParseError):
+            form_from_json({**form, field: value})
+    for field, value in (("n", 4.0), ("n", [4]), ("m", None), ("coeffs", "")):
+        with pytest.raises(ParseError):
+            poly_from_json({**poly, field: value})
+    bad = json.loads(json.dumps(poly))
+    for pair in ([True, 1], [1.0, 1], ["1", 1], [None, 1], [1, 1, 1]):
+        bad["coeffs"][0]["alpha"][0] = pair
+        with pytest.raises(ParseError, match="pairs"):
+            poly_from_json(bad)
 
 
 def test_complex_round_trip(tmp_path):

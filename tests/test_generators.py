@@ -1,9 +1,12 @@
+import io
 import itertools
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from bhforms import (
     BudgetExceededError,
+    MultilinearForm,
     a_family,
     distinct_count,
     dumps,
@@ -158,3 +161,43 @@ def test_family_registry_sees_rebound_constructors(monkeypatch):
     assert generators.FAMILIES["s"](3) == real(3)
     assert cli.run(["ratio", "--family", "s", "--m", "4"]) == 0
     assert calls == [3, 4]
+
+
+def _same_as_build(T):
+    """T equals the validating constructor's form of its own fields, with
+    the coefficients in the same order."""
+    B = MultilinearForm.build(T.m, T.dims, T.coeffs, field=T.field)
+    assert T == B and list(T.coeffs.items()) == list(B.coeffs.items())
+    assert all(type(d) is int for d in T.dims)
+
+
+def test_generators_equal_their_validated_build():
+    """The generators construct their forms without build; each is exactly
+    what build makes of the same fields."""
+    from bhforms import generators
+
+    for name, family in generators.FAMILIES.items():
+        for m in range(2, 7):
+            try:
+                T = family(m)
+            except ValueError:  # r needs even m, a odd m
+                continue
+            _same_as_build(T)
+    for m, n, seed in ((1, 5, 0), (2, 12, 3), (3, 4, 7), (4, 5, 11)):
+        _same_as_build(ksz_random(m, n, seed=seed))
+    for dist in ("pm1", "uniform", "gaussian"):
+        for seed in range(4):
+            _same_as_build(random_sparse(3, (2, 3, 2), 0.6, coeff_dist=dist, seed=seed))
+
+
+def test_random_sparse_refuses_a_bad_shape():
+    for m, dims in ((3, (2, 2)), (0, ()), (2, (2, 0))):
+        with pytest.raises(ValueError):
+            random_sparse(m, dims, 0.5, seed=1)
+    from bhforms.cli import run
+
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        code = run(["gen", "--family", "random", "--m", "3", "--dims", "2,2",
+                    "--seed", "1"])
+    assert (code, out.getvalue()) == (2, "")
+    assert "expected 3 slot dimensions, got 2" in err.getvalue()

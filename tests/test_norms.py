@@ -751,6 +751,31 @@ def test_poly_beyond_float_range():
             poly_lower_bound(P)
 
 
+def test_real_evaluate_survives_a_partial_sum_overflow():
+    """Terms added in stored order overflow on the way to a value inside the
+    float range: a real evaluate returns that value, so the brute oracle
+    agrees with the exact norm and the polynomial witness re-evaluates to
+    the reported value.  A value beyond the range is a ValueError."""
+    big = 0.8e308
+    T = MultilinearForm.build(2, (2, 2), {(1, 1): big, (1, 2): big, (2, 1): big,
+                                          (2, 2): -big})
+    assert T.evaluate([(1, 1), (1, 1)]) == 2 * big
+    assert brute_force_norm_real(T) == exact_norm_real(T).value == 2 * big
+    P = _poly(2, 4, [([(1, 1), (3, 1)], big), ([(1, 1), (4, 1)], big),
+                     ([(2, 1), (4, 1)], -big), ([(2, 1), (3, 1)], big)])
+    assert P.evaluate((-1, 1, -1, -1)) == 2 * big
+    r = poly_lower_bound(P)
+    assert (r.value, r.exact) == (2 * big, True)
+    assert abs(P.evaluate(r.witness[0])) == r.value
+    wide = MultilinearForm.build(2, (2, 2), {(1, 1): 1.7e308, (2, 1): 1.7e308})
+    huge = MultilinearForm.build(2, (2, 2), {(1, 1): 10**400, (2, 2): 0.5})
+    for form in (wide, huge):
+        with pytest.raises(ValueError, match="float range"):
+            form.evaluate([(1, 1), (1, 1)])
+    with pytest.raises(ValueError, match="float range"):
+        _poly(2, 2, [([(1, 2)], 1.7e308), ([(2, 2)], 1.7e308)]).evaluate((1, 1))
+
+
 def test_subnormal_leading_coefficient_keeps_the_ascent():
     """x_1 of degree 3 with a subnormal leading coefficient: the derivative's
     companion matrix would overflow.  The ascent drops that coefficient for
